@@ -1,22 +1,34 @@
 """Exact linear algebra over the rationals.
 
-Everything here works with ``fractions.Fraction`` entries; there is no
-floating point anywhere.  Strict positivity of homogeneous systems is decided
-by an exact phase-1 simplex on the equivalent inhomogeneous problem
-``A v = 0, v >= 1`` (the cone is scale invariant, so the two are equivalent).
+Inputs and results are ``fractions.Fraction`` values; there is no floating
+point anywhere.  Inside, ``rref`` and the phase-1 simplex share one
+integer-preserving Gauss-Jordan pivot step (``_pivot``, after Bareiss 1968):
+each row is scaled once to integers and then held as integer numerators over
+a positive denominator, and every update divides exactly.  No Fraction is
+built until the result is.
+
+Scaling rows by positive factors changes neither the reduced row echelon
+form, which is unique, nor any choice of the simplex, whose entering and
+leaving rules (Bland's) read only signs and ratios.  So every result is the
+one a plain Fraction tableau gives; the test suite keeps that tableau as its
+reference.  Strict positivity of homogeneous systems is decided on the
+equivalent inhomogeneous problem ``A v = 0, v >= 1`` (the cone is scale
+invariant), and a witness is checked against ``A v = 0`` before it is
+returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from typing import Optional, Sequence
 
 Row = tuple[Fraction, ...]
 
 
 def _coerce_rows(rows) -> list[list[Fraction]]:
-    out = [[Fraction(x) for x in row] for row in rows]
+    out = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in rows]
     if out and any(len(r) != len(out[0]) for r in out):
         raise ValueError("matrix rows must have equal length")
     return out
@@ -51,30 +63,81 @@ def _rows_of(A) -> list[list[Fraction]]:
     return _coerce_rows(A)
 
 
+def _integer_rows(rows: list[list[Fraction]]) -> tuple[list[list[int]], list[int]]:
+    """Each row times the lcm of its denominators, and that lcm.
+
+    Row i of the input is ``ints[i] / scales[i]`` exactly.
+    """
+    ints, scales = [], []
+    for row in rows:
+        scale = lcm(*[x.denominator for x in row])
+        if scale == 1:
+            ints.append([x.numerator for x in row])
+        else:
+            ints.append([x.numerator * (scale // x.denominator) for x in row])
+        scales.append(scale)
+    return ints, scales
+
+
+def _pivot(T: list[list[int]], den: list[int], r: int, c: int, d: int) -> int:
+    """One integer-preserving Gauss-Jordan step on entry (r, c); returns the new d.
+
+    Row i stands for ``T[i] / den[i]`` with ``den[i] > 0``.  The rows have
+    the common denominator d > 0, the previous pivot: every ``T[i] * d /
+    den[i]`` is an integer.  Only the pivot row is brought to d; its entry p
+    in column c becomes the new common denominator.  A row whose entry f in
+    column c is zero is left as it is.  Any other row is updated entrywise to
+    ``(a*p - f*b) // den[i]``, with b the pivot row's entry, and that division
+    is exact.  A negative pivot is made positive by negating its row, which
+    changes no reduced row.
+    """
+    row = T[r]
+    if den[r] != d:
+        q = den[r]
+        row = [x * d // q for x in row]
+    p = row[c]
+    if p < 0:
+        row = [-x for x in row]
+        p = -p
+    T[r] = row
+    den[r] = p
+    for i, other in enumerate(T):
+        f = other[c]
+        if f and i != r:
+            q = den[i]
+            T[i] = [(a * p - f * b) // q for a, b in zip(other, row)]
+            den[i] = p
+    return p
+
+
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
     M = _coerce_rows(rows)
     if not M:
         return [], []
-    ncols = len(M[0])
+    # scaling a row leaves its reduced form alone, so start from integer rows
+    T, _ = _integer_rows(M)
+    den = [1] * len(T)
+    d = 1
+    ncols = len(T[0])
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(M)) if M[i][c] != 0), None)
+        pivot = next((i for i in range(r, len(T)) if T[i][c]), None)
         if pivot is None:
             continue
-        M[r], M[pivot] = M[pivot], M[r]
-        pv = M[r][c]
-        M[r] = [x / pv for x in M[r]]
-        for i in range(len(M)):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
+        T[r], T[pivot] = T[pivot], T[r]
+        den[r], den[pivot] = den[pivot], den[r]
+        d = _pivot(T, den, r, c, d)
         pivots.append(c)
         r += 1
-        if r == len(M):
+        if r == len(T):
             break
-    return M, pivots
+    out = [
+        [Fraction(x) for x in row] if q == 1 else [Fraction(x, q) for x in row]
+        for row, q in zip(T, den)
+    ]
+    return out, pivots
 
 
 def rank(A) -> int:
@@ -122,61 +185,55 @@ def rational_nullspace(A) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(basis)
 
 
-def _phase_one_feasible(A: list[list[Fraction]], b: list[Fraction]) -> Optional[list[Fraction]]:
+def _phase_one_feasible(T: list[list[int]], den: list[int]) -> Optional[list[Fraction]]:
     """Exact phase-1 simplex: find x >= 0 with A x = b, else None.
 
-    Bland's rule on both the entering and leaving choices rules out cycling,
-    so termination is guaranteed in exact arithmetic.
+    Row i of the tableau ``[A | b]`` is ``T[i] / den[i]``, with integer
+    entries, ``den[i] > 0`` and ``b >= 0``; T and den are pivoted in place.
+    Artificial variable i starts basic in row i.  Artificial columns never
+    enter, so they are not stored.  Bland's rule on both the entering and
+    leaving choices rules out cycling, so termination is guaranteed in exact
+    arithmetic.
     """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    if m == 0:
-        return [Fraction(0)] * n
-    T: list[list[Fraction]] = []
-    for i in range(m):
-        row = list(A[i])
-        rhs = b[i]
-        if rhs < 0:
-            row = [-x for x in row]
-            rhs = -rhs
-        T.append(row + [Fraction(int(j == i)) for j in range(m)] + [rhs])
-    basis = [n + i for i in range(m)]
+    m = len(T)
+    n = len(T[0]) - 1
+    # Over the artificial basis the rows share the denominator prod(den),
+    # the determinant of that basis in row-scaled integer form.
+    d = prod(den)
+    # Objective row: the sum of the rows whose basic variable is artificial.
+    # Column j improves the phase-1 objective when its entry is positive; the
+    # entry of a basic column is 0.  It is pivoted like any other row.
+    scaled = [[x * (d // q) for x in row] for row, q in zip(T, den)]
+    T.append([sum(col) for col in zip(*scaled)])
+    den.append(d)
+    basis = list(range(n, n + m))
     while True:
-        art_rows = [i for i in range(m) if basis[i] >= n]
-        # reduced cost of original column j is -sum of those rows; entering
-        # improves the phase-1 objective when that sum is positive.
-        entering = None
-        for j in range(n):
-            if j in basis:
-                continue
-            if sum(T[i][j] for i in art_rows) > 0:
-                entering = j
-                break
+        objective = T[m]
+        entering = next((j for j in range(n) if objective[j] > 0), None)
         if entering is None:
             break
         leave = None
-        best = None
         for i in range(m):
-            if T[i][entering] > 0:
-                ratio = T[i][-1] / T[i][entering]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+            a = T[i][entering]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                # T[i][-1] / a against the best ratio, cross-multiplied
+                lhs = T[i][-1] * T[leave][entering]
+                rhs = T[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise ArithmeticError("phase-1 objective unbounded; inconsistent tableau")
-        pv = T[leave][entering]
-        T[leave] = [x / pv for x in T[leave]]
-        for i in range(m):
-            if i != leave and T[i][entering] != 0:
-                f = T[i][entering]
-                T[i] = [a - f * c for a, c in zip(T[i], T[leave])]
+        d = _pivot(T, den, leave, entering, d)
         basis[leave] = entering
-    if sum(T[i][-1] for i in range(m) if basis[i] >= n) != 0:
+    if T[m][-1] != 0:
         return None
     x = [Fraction(0)] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = T[i][-1]
+            x[basis[i]] = Fraction(T[i][-1], den[i])
     return x
 
 
@@ -184,20 +241,23 @@ def strict_positive_solution(A) -> Optional[tuple[Fraction, ...]]:
     """A rational v with A v = 0 and every coordinate > 0, or None.
 
     Decided exactly through the inhomogeneous problem {A w = -A*1, w >= 0}
-    and v = w + 1; absence is a certified answer, not an error.
+    and v = w + 1; absence is a certified answer, not an error.  A matrix
+    with no columns has the empty solution ``()``.
     """
     M = _rows_of(A)
-    if not M:
-        return None
-    n = len(M[0])
-    if n == 0:
+    if not M or not M[0]:
         return ()
-    b = [-sum(row) for row in M]
-    w = _phase_one_feasible(M, b)
+    A_int, den = _integer_rows(M)
+    T = []
+    for row in A_int:
+        rhs = -sum(row)
+        T.append([-x for x in row] + [-rhs] if rhs < 0 else row + [rhs])
+    w = _phase_one_feasible(T, den)
     if w is None:
         return None
     v = tuple(x + 1 for x in w)
-    for row in M:
-        if sum(a * x for a, x in zip(row, v)) != 0:
-            raise AssertionError("simplex returned a non-solution")
+    scale = lcm(*(x.denominator for x in v))
+    v_int = [x.numerator * (scale // x.denominator) for x in v]
+    if any(sum(a * x for a, x in zip(row, v_int)) for row in A_int):
+        raise AssertionError("simplex returned a non-solution")
     return v

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .exactnum import (
     ExactNonzeroComplex,
@@ -57,45 +57,55 @@ class LevelSystem:
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         """Integer coefficient rows over the unknowns alphas + betas."""
         a_index = {a: i for i, a in enumerate(self.alphas)}
-        b_index = {b: len(self.alphas) + i for i, b in enumerate(self.betas)}
+        beta_column = self._beta_columns()
+        na = len(self.alphas)
         out = []
         for eq in self.equations:
-            row = [Fraction(0)] * (len(self.alphas) + len(self.betas))
+            row = [Fraction(0)] * (na + len(self.betas))
             for nid in eq.nodes:
                 row[a_index[nid]] += eq.multiplicity
-            key = self._beta_key(eq.direction, eq.level)
-            row[b_index[key]] -= 1
+            row[na + beta_column(eq.direction, eq.level)] -= 1
             if eq.level >= 2:
-                row[b_index[self._beta_key(eq.direction, eq.level - 1)]] += 1
+                row[na + beta_column(eq.direction, eq.level - 1)] += 1
             out.append(tuple(row))
         return tuple(out)
 
-    def _beta_key(self, direction: str, level: int) -> BetaKey:
+    def _beta_columns(self) -> Callable[[str, int], int]:
+        """The index into betas of the rate of (direction, level).
+
+        A uniform beta is keyed by its level alone, a multibuilding beta by
+        the direction's scaling component and the level.  The tables are
+        built once per call of this method, so each lookup is constant time.
+        """
+        position = {b: i for i, b in enumerate(self.betas)}
         table = dict(self.directions)
-        for b in self.betas:
-            if isinstance(b, int):
-                if b == level:
-                    return b
-            elif b[1] == level and b[0] == table.get(direction):
-                return b
-        raise KeyError((direction, level))
+
+        def column(direction: str, level: int) -> int:
+            for key in (level, (table.get(direction), level)):
+                if key in position:
+                    return position[key]
+            raise KeyError((direction, level))
+
+        return column
 
     def describe(self) -> list[str]:
+        beta_column = self._beta_columns()
+
+        def name(direction: str, level: int) -> str:
+            key = self.betas[beta_column(direction, level)]
+            return f"b({key})" if isinstance(key, int) else f"b({key[0]},{key[1]})"
+
         out = []
         for eq in self.equations:
             lhs = " + ".join(f"a({z})" for z in eq.nodes)
             if eq.multiplicity != 1:
                 lhs = f"{eq.multiplicity}*({lhs})"
-            prev = self._beta_name(eq.direction, eq.level - 1) if eq.level >= 2 else None
-            rhs = self._beta_name(eq.direction, eq.level)
+            prev = name(eq.direction, eq.level - 1) if eq.level >= 2 else None
+            rhs = name(eq.direction, eq.level)
             if prev:
                 rhs = f"{rhs} - {prev}"
             out.append(f"[{eq.base} / {eq.direction}] {lhs} = {rhs}")
         return out
-
-    def _beta_name(self, direction: str, level: int) -> str:
-        key = self._beta_key(direction, level)
-        return f"b({key})" if isinstance(key, int) else f"b({key[0]},{key[1]})"
 
 
 def build_system(mt: MapType) -> LevelSystem:
@@ -144,12 +154,12 @@ def build_system(mt: MapType) -> LevelSystem:
 
 def feasible_positive(sys: LevelSystem) -> Optional[dict]:
     """A strictly positive rational solution, as {unknown: value}, or None."""
-    if not sys.alphas and not sys.betas:
-        return {}
-    witness = strict_positive_solution(sys.rows() or [[Fraction(0)] * (len(sys.alphas) + len(sys.betas))])
+    names = list(sys.alphas) + list(sys.betas)
+    if not sys.equations:
+        return dict.fromkeys(names, Fraction(1))
+    witness = strict_positive_solution(sys.rows())
     if witness is None:
         return None
-    names = list(sys.alphas) + list(sys.betas)
     return dict(zip(names, witness))
 
 
@@ -247,8 +257,10 @@ def asymptotic_classes(mt: MapType) -> tuple[AsymptoticClass, ...]:
         if ra != rb:
             parent[ra] = rb
 
+    beta_column = sys._beta_columns()
+
     def beta_token(direction, level):
-        return ("level", sys._beta_key(direction, level))
+        return ("level", sys.betas[beta_column(direction, level)])
 
     for eq in sys.equations:
         anchor = ("node", eq.nodes[0])

@@ -63,6 +63,98 @@ def grid_positive_point(A, denominator: int = 8, bound: int = 8):
     return None
 
 
+# -- reference Fraction implementations of the exact LP core -------------------
+#
+# The library pivots on integers; these are the plain Fraction tableaus it
+# replaced.  Both follow the same pivot rules, so the library must return
+# exactly these values.
+
+def reference_rref(rows):
+    """Reduced row echelon form on Fractions; returns (rows, pivot columns)."""
+    M = [[Fraction(x) for x in row] for row in rows]
+    if not M:
+        return [], []
+    ncols = len(M[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(M)) if M[i][c] != 0), None)
+        if pivot is None:
+            continue
+        M[r], M[pivot] = M[pivot], M[r]
+        pv = M[r][c]
+        M[r] = [x / pv for x in M[r]]
+        for i in range(len(M)):
+            if i != r and M[i][c] != 0:
+                f = M[i][c]
+                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(M):
+            break
+    return M, pivots
+
+
+def reference_phase_one_feasible(A, b):
+    """Phase-1 simplex with Bland's rule on a Fraction tableau: x >= 0 with
+    A x = b, else None."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    if m == 0:
+        return [Fraction(0)] * n
+    T = []
+    for i in range(m):
+        row = list(A[i])
+        rhs = b[i]
+        if rhs < 0:
+            row = [-x for x in row]
+            rhs = -rhs
+        T.append(row + [Fraction(int(j == i)) for j in range(m)] + [rhs])
+    basis = [n + i for i in range(m)]
+    while True:
+        art_rows = [i for i in range(m) if basis[i] >= n]
+        entering = None
+        for j in range(n):
+            if j in basis:
+                continue
+            if sum(T[i][j] for i in art_rows) > 0:
+                entering = j
+                break
+        if entering is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            if T[i][entering] > 0:
+                ratio = T[i][-1] / T[i][entering]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            raise ArithmeticError("phase-1 objective unbounded; inconsistent tableau")
+        pv = T[leave][entering]
+        T[leave] = [x / pv for x in T[leave]]
+        for i in range(m):
+            if i != leave and T[i][entering] != 0:
+                f = T[i][entering]
+                T[i] = [a - f * c for a, c in zip(T[i], T[leave])]
+        basis[leave] = entering
+    if sum(T[i][-1] for i in range(m) if basis[i] >= n) != 0:
+        return None
+    x = [Fraction(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = T[i][-1]
+    return x
+
+
+def reference_strict_positive_solution(A):
+    """v > 0 with A v = 0 through {A w = -A*1, w >= 0} and v = w + 1, else None."""
+    M = [[Fraction(x) for x in row] for row in A]
+    w = reference_phase_one_feasible(M, [-sum(row) for row in M])
+    return None if w is None else tuple(x + 1 for x in w)
+
+
 # -- argument-grid oracle for power systems -----------------------------------
 
 def arg_grid_solutions(M, args, L):

@@ -11,6 +11,7 @@ from ncd_moduli.exactnum import (
     RationalMatrix,
     rank,
     rational_nullspace,
+    rref,
     smith_normal_form,
     solve_power_system,
     strict_positive_solution,
@@ -22,6 +23,8 @@ from oracle_helpers import (
     lcm,
     power_system_oracle_consistent,
     random_value,
+    reference_rref,
+    reference_strict_positive_solution,
 )
 
 frac = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
@@ -31,6 +34,32 @@ exact_values = st.builds(
     frac,
     st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)),
 )
+
+
+rational_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-4, 4)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+)
+
+
+@st.composite
+def rational_matrices(draw, max_rows=6, max_cols=8):
+    """Rational matrices with some all-zero rows and columns; half of them
+    have the all-ones vector in their kernel, so both answers of the cone
+    test come up."""
+    m = draw(st.integers(1, max_rows))
+    n = draw(st.integers(1, max_cols))
+    rows = [[draw(rational_entries) for _ in range(n)] for _ in range(m)]
+    for i in draw(st.sets(st.integers(0, m - 1), max_size=2)):
+        rows[i] = [Fraction(0)] * n
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        for row in rows:
+            row[j] = Fraction(0)
+    if draw(st.booleans()):
+        for row in rows:
+            row[-1] -= sum(row)
+    return rows
 
 
 class TestValues:
@@ -136,6 +165,18 @@ class TestLinalg:
         assert strict_positive_solution([[1, 1]]) is None
         w = strict_positive_solution([[3, -1]])
         assert w is not None and 3 * w[0] == w[1]
+
+    def test_positive_empty_matrix(self):
+        assert strict_positive_solution([]) == ()
+        assert strict_positive_solution([[]]) == ()
+        empty = RationalMatrix(())
+        assert empty.cols == 0 and strict_positive_solution(empty) == ()
+
+    @given(rational_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_reference(self, rows):
+        assert rref(rows) == reference_rref(rows)
+        assert strict_positive_solution(rows) == reference_strict_positive_solution(rows)
 
     def test_rational_matrix_shape(self):
         m = RationalMatrix.from_rows([[1, 2], [3, 4]])

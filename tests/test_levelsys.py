@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,7 @@ from ncd_moduli.levelsys import (
     solve_gluing,
     torus_dim,
 )
+from ncd_moduli.maptype import Component, MapType, Node
 from oracle_helpers import random_value
 
 
@@ -82,6 +85,46 @@ class TestFeasibility:
             ),
         )
         assert feasible_positive(sys) is None
+
+    def test_no_equations_all_ones(self):
+        sys = LevelSystem(("a1",), (1, 2), ())
+        assert feasible_positive(sys) == {"a1": 1, 1: 1, 2: 1}
+
+
+def disjoint_copies(mt: MapType, n: int) -> MapType:
+    """n disjoint copies of a map type, every component, point and node id
+    prefixed by the copy's index; the copies share the scaling directions."""
+
+    def copy(i: int) -> tuple[list[Component], list[Node]]:
+        tag = f"c{i}."
+        comps = [
+            dataclasses.replace(c, id=tag + c.id, points=tuple((tag + pid, rec) for pid, rec in c.points))
+            for c in mt.components
+        ]
+        nodes = [Node(tag + nd.id, (tag + nd.ends[0], tag + nd.ends[1])) for nd in mt.nodes]
+        return comps, nodes
+
+    copies = [copy(i) for i in range(n)]
+    return dataclasses.replace(
+        mt,
+        components=tuple(c for comps, _ in copies for c in comps),
+        nodes=tuple(nd for _, nodes in copies for nd in nodes),
+        av=mt.av * n,
+    )
+
+
+class TestScaling:
+    def test_neck2_copies_feasible_fast(self):
+        n = 30
+        sys = build_system(disjoint_copies(neck2(), n))
+        assert (len(sys.equations), len(sys.alphas), len(sys.betas)) == (4 * n, 3 * n, 2)
+        start = time.perf_counter()
+        witness = feasible_positive(sys)
+        dim = torus_dim(sys)
+        elapsed = time.perf_counter() - start
+        assert witness is not None and all(v > 0 for v in witness.values())
+        assert dim == 1
+        assert elapsed < 3.0, f"feasible_positive + torus_dim took {elapsed:.2f} s"
 
 
 class TestTorusDim:
