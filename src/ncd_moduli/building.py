@@ -273,10 +273,6 @@ def divisor_strata(piece: PieceLabel, include_open: bool = True) -> tuple[tuple[
     return out
 
 
-def dual_pairs(b: LevelBuilding) -> tuple[tuple[DivisorStratumLabel, DivisorStratumLabel], ...]:
-    return b.attaching
-
-
 @dataclass(frozen=True)
 class CollapseResult:
     building: LevelBuilding

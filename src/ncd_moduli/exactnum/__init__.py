@@ -20,14 +20,12 @@ from .values import (
     as_rational,
     coeff_from_json,
     coeff_to_json,
-    mul,
 )
 
 __all__ = [
     "Rational",
     "ExactNonzeroComplex",
     "ONE",
-    "mul",
     "as_rational",
     "coeff_to_json",
     "coeff_from_json",

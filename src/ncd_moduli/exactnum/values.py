@@ -138,10 +138,6 @@ class ExactNonzeroComplex:
 ONE = ExactNonzeroComplex.one()
 
 
-def mul(a: ExactNonzeroComplex, b: ExactNonzeroComplex) -> ExactNonzeroComplex:
-    return a * b
-
-
 def coeff_to_json(a: ExactNonzeroComplex) -> dict:
     return {
         "primes": {str(p): str(e) for p, e in a.mag},

@@ -19,17 +19,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .exactnum import (
     ExactNonzeroComplex,
     coeff_from_json,
     coeff_to_json,
+    rank,
     rational_nullspace,
     solve_power_system,
     strict_positive_solution,
 )
-from .maptype import MapType, check_broken_cylinders, check_naive, contraction, validate_structure, walk_fiber
+from .maptype import MapType, check_broken_cylinders, check_naive, validate_structure
 
 BetaKey = Union[int, tuple[str, int]]
 
@@ -88,6 +90,16 @@ class LevelSystem:
 
         return column
 
+    @cached_property
+    def _beta_kernel(self) -> tuple[tuple[Fraction, ...], ...]:
+        """A basis of the solutions of rows() (all unknowns if none), projected onto the betas."""
+        rows = self.rows()
+        if not rows:
+            nb = len(self.betas)
+            return tuple(tuple(Fraction(int(i == j)) for j in range(nb)) for i in range(nb))
+        na = len(self.alphas)
+        return tuple(v[na:] for v in rational_nullspace(rows))
+
     def describe(self) -> list[str]:
         beta_column = self._beta_columns()
 
@@ -124,8 +136,8 @@ def build_system(mt: MapType) -> LevelSystem:
         ]
     equations: list[LevelEquation] = []
     alphas: list[str] = []
-    for f in contraction(mt):
-        walk = walk_fiber(mt, f)
+    for walk in mt.walks:
+        f = walk.fiber
         mults = dict(walk.multiplicities)
         for step in walk.steps:
             if mt.building_mode != "uniform" and step.direction not in dir_table:
@@ -165,19 +177,9 @@ def feasible_positive(sys: LevelSystem) -> Optional[dict]:
 
 def torus_dim(sys: LevelSystem) -> int:
     """Dimension of the beta-projection of the solution space."""
-    if not sys.betas:
+    if not sys.betas or not sys._beta_kernel:
         return 0
-    rows = sys.rows()
-    if not rows:
-        return len(sys.betas)
-    basis = rational_nullspace(rows)
-    na = len(sys.alphas)
-    projected = [v[na:] for v in basis]
-    if not projected:
-        return 0
-    from .exactnum import rank
-
-    return rank(projected)
+    return rank(sys._beta_kernel)
 
 
 def beta_relations(sys: LevelSystem) -> tuple[tuple[Fraction, ...], ...]:
@@ -189,17 +191,7 @@ def beta_relations(sys: LevelSystem) -> tuple[tuple[Fraction, ...], ...]:
     nb = len(sys.betas)
     if nb == 0:
         return ()
-    rows = sys.rows()
-    na = len(sys.alphas)
-    basis = rational_nullspace(rows) if rows else None
-    if basis is None:
-        projected = [
-            tuple(Fraction(int(i == j)) for j in range(nb)) for i in range(nb)
-        ]
-    else:
-        projected = [v[na:] for v in basis]
-    if not projected:
-        projected = [tuple(Fraction(0) for _ in range(nb))]
+    projected = sys._beta_kernel or [tuple(Fraction(0) for _ in range(nb))]
     relations = rational_nullspace(projected)
     return tuple(sorted(_normalize_relation(r) for r in relations))
 
@@ -392,8 +384,8 @@ def solve_gluing(gp: GluingProblem) -> GluingSolution:
 def gluing_problem_from_maptype(mt: MapType) -> GluingProblem:
     """The collapsed-chain gluing problem of a map type (lambdas left to the caller)."""
     nodes = []
-    for f in contraction(mt):
-        walk = walk_fiber(mt, f)
+    for walk in mt.walks:
+        f = walk.fiber
         mults = dict(walk.multiplicities)
         dirs = []
         start = mt.record(f.start_point)
@@ -455,6 +447,10 @@ def gluing_from_dict(obj: Mapping) -> GluingProblem:
         )
         for n in obj.get("nodes", ())
     )
+    for n in nodes:
+        for d in n.directions:
+            if d.multiplicity < 1:
+                raise ValueError(f"{n.id}: multiplicity {d.multiplicity} in {d.direction} must be positive")
     lambdas = tuple(
         sorted((int(l), coeff_from_json(v)) for l, v in obj.get("levels", {}).items())
     )

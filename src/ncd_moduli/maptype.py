@@ -7,12 +7,17 @@ the divisor-side sign, the level, and the leading coefficient (flagged
 formal on directions where a trivial component is frozen at zero or
 infinity).  Validators implement the structural, naive, broken-cylinder and
 enhanced matching conditions, plus relative stability.
+
+A ``MapType`` computes each fact about itself once, on first use: the id
+lookups, the contraction (``fibers``) and each fiber's walk (``walks``).
+Every validator and the level system read these instead of walking again.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .exactnum import (
@@ -34,7 +39,7 @@ class ContactSlot:
     def __post_init__(self):
         if self.eps not in (-1, 0, 1):
             raise ValueError("sign must be -1, 0 or +1")
-        if self.s is not None and self.s < 0:
+        if self.s is not None and self.s < 1:
             raise ValueError("multiplicity must be positive or undefined")
 
 
@@ -87,12 +92,6 @@ class Component:
     def point_ids(self) -> tuple[str, ...]:
         return tuple(pid for pid, _ in self.points)
 
-    def record(self, pid: str) -> ContactRecord:
-        for p, r in self.points:
-            if p == pid:
-                return r
-        raise KeyError(pid)
-
 
 @dataclass(frozen=True)
 class Node:
@@ -113,34 +112,43 @@ class MapType:
     chi: int = 2
     ell: int = 0
 
-    # -- lookups ---------------------------------------------------------------
+    # -- lookups and analysis, each computed once ------------------------------
+
+    @cached_property
+    def _index(self) -> tuple[dict[str, Component], dict[str, tuple[Component, ContactRecord]]]:
+        """Component id -> component, point id -> (owner, record); first occurrence wins."""
+        components: dict[str, Component] = {}
+        points: dict[str, tuple[Component, ContactRecord]] = {}
+        for c in self.components:
+            components.setdefault(c.id, c)
+            for pid, r in c.points:
+                points.setdefault(pid, (c, r))
+        return components, points
 
     def component(self, cid: str) -> Component:
-        for c in self.components:
-            if c.id == cid:
-                return c
-        raise KeyError(cid)
+        return self._index[0][cid]
 
     def owner(self, pid: str) -> Component:
-        for c in self.components:
-            if pid in c.point_ids():
-                return c
-        raise KeyError(pid)
+        return self._index[1][pid][0]
 
     def record(self, pid: str) -> ContactRecord:
-        return self.owner(pid).record(pid)
-
-    def node_point_ids(self) -> set[str]:
-        return {p for n in self.nodes for p in n.ends}
+        return self._index[1][pid][1]
 
     def marked_point_ids(self) -> tuple[str, ...]:
-        taken = self.node_point_ids()
+        taken = {p for n in self.nodes for p in n.ends}
         return tuple(
             pid for c in self.components for pid in c.point_ids() if pid not in taken
         )
 
-    def direction_component(self, direction: str) -> Optional[str]:
-        return dict(self.direction_components).get(direction)
+    @cached_property
+    def fibers(self) -> tuple[BaseFiber, ...]:
+        """``contraction(self)``; raises its ValueError on every read."""
+        return contraction(self)
+
+    @cached_property
+    def walks(self) -> tuple[FiberWalk, ...]:
+        """``walk_fiber`` of each fiber, in the order of ``fibers``."""
+        return tuple(walk_fiber(self, f) for f in self.fibers)
 
 
 # -- contraction to the base curve ------------------------------------------------
@@ -239,7 +247,7 @@ def contraction(mt: MapType) -> tuple[BaseFiber, ...]:
 
 def stretch(mt: MapType) -> dict[str, int]:
     """Number of trivial components over each base special point."""
-    return {f.base_id: f.stretch for f in contraction(mt)}
+    return {f.base_id: f.stretch for f in mt.fibers}
 
 
 # -- structural validation ---------------------------------------------------------
@@ -293,7 +301,7 @@ def validate_structure(mt: MapType) -> list[str]:
             out.append(f"point {p} lies on {k} nodes")
     if not out:
         try:
-            contraction(mt)
+            mt.fibers
         except ValueError as e:
             out.append(str(e))
     for pid in mt.marked_point_ids():
@@ -355,11 +363,8 @@ class FiberWalk:
     violations: tuple[str, ...]
 
 
-def _fiber_directions(mt: MapType, f: BaseFiber) -> list[str]:
+def _fiber_directions(records: Sequence[ContactRecord]) -> list[str]:
     dirs = []
-    records = [mt.record(f.start_point), mt.record(f.end_point)]
-    for cid in f.chain:
-        records.extend(r for _, r in mt.component(cid).points)
     for r in records:
         for d, sl in r.slots:
             if sl.eps != 0 and d not in dirs:
@@ -375,11 +380,10 @@ def _frozen(comp: Component, direction: str) -> bool:
     return all(sl.formal for sl in present)
 
 
-def _fiber_multiplicity(mt: MapType, f: BaseFiber, direction: str) -> tuple[Optional[int], list[str]]:
+def _fiber_multiplicity(
+    f: BaseFiber, records: Sequence[ContactRecord], direction: str
+) -> tuple[Optional[int], list[str]]:
     values = set()
-    records = [mt.record(f.start_point), mt.record(f.end_point)]
-    for cid in f.chain:
-        records.extend(r for _, r in mt.component(cid).points)
     for r in records:
         sl = r.slot(direction)
         if sl is not None and sl.s is not None:
@@ -398,24 +402,21 @@ def walk_fiber(mt: MapType, f: BaseFiber) -> FiberWalk:
     start = mt.owner(f.start_point)
     chain_comps = [mt.component(cid) for cid in f.chain]
     moved: dict[str, set[str]] = {}
-    for d in _fiber_directions(mt, f):
-        s, errs = _fiber_multiplicity(mt, f, d)
+    records = [mt.record(f.start_point), mt.record(f.end_point)]
+    records += [r for c in chain_comps for _, r in c.points]
+    for d in _fiber_directions(records):
+        s, errs = _fiber_multiplicity(f, records, d)
         violations.extend(errs)
+        levels = [c.level(d) for c in [start] + chain_comps]
+        frozen = [False] + [_frozen(c, d) for c in chain_comps] + [False]
         if f.kind == "node":
-            end_comp = mt.owner(f.end_point)
-            positions = [start] + chain_comps + [end_comp]
-            levels = [c.level(d) for c in positions]
-            virtual = [False] * len(positions)
-            frozen = [False] + [_frozen(c, d) for c in chain_comps] + [False]
+            levels.append(mt.owner(f.end_point).level(d))
+            virtual = [False] * len(levels)
             node_ids: list[Optional[str]] = list(f.inner_nodes)
         else:
             end_slot = mt.record(f.end_point).slot(d)
-            positions = [start] + chain_comps
-            levels = [c.level(d) for c in positions]
-            end_level = end_slot.level if end_slot is not None else levels[-1]
-            levels = levels + [end_level]
-            virtual = [False] * (len(positions)) + [True]
-            frozen = [False] + [_frozen(c, d) for c in chain_comps] + [False]
+            levels.append(end_slot.level if end_slot is not None else levels[-1])
+            virtual = [False] * (len(levels) - 1) + [True]
             node_ids = list(f.inner_nodes) + [None]
         # project out frozen components
         segs = []
@@ -470,10 +471,7 @@ def walk_fiber(mt: MapType, f: BaseFiber) -> FiberWalk:
 
 
 def check_broken_cylinders(mt: MapType) -> list[str]:
-    out: list[str] = []
-    for f in contraction(mt):
-        out.extend(walk_fiber(mt, f).violations)
-    return out
+    return [v for w in mt.walks for v in w.violations]
 
 
 # -- enhanced matching -----------------------------------------------------------
@@ -605,10 +603,6 @@ def eval_equal(e1: EvaluationClass, e2: EvaluationClass) -> bool:
         and e1.weights == e2.weights
         and wproj_equal(e1.coeffs, e2.coeffs, e1.weights)
     )
-
-
-def degree_check(mt: MapType) -> bool:
-    return sum(mt.record(p).degree() for p in mt.marked_point_ids()) == mt.av
 
 
 # -- file format ---------------------------------------------------------------------

@@ -9,7 +9,6 @@ from ncd_moduli.building import (
     build_multi,
     collapse,
     divisor_strata,
-    dual_pairs,
     rescaled_disk,
     torus_weight,
 )
@@ -145,8 +144,8 @@ class TestDualPairs:
     def test_perfect_matching_on_infinity_strata(self, m):
         b = build(ex4dim(), m)
         minus = {x for x in b.divisor_strata if x.sign == -1}
-        assert {q for _, q in dual_pairs(b)} == minus
-        assert len(dual_pairs(b)) == len(minus)
+        assert {q for _, q in b.attaching} == minus
+        assert len(b.attaching) == len(minus)
 
     def test_minus_only_on_rescaled_slots(self):
         b = build(local_model(2), 3)

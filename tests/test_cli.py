@@ -115,6 +115,32 @@ class TestDim:
         assert code == 2
         assert "missing" in err
 
+    def test_failed_contraction_exit_2(self, capsys, tmp_path):
+        obj = json.loads(CATALOG["neck1a"].text())
+        trivial = next(c for c in obj["components"] if c["trivial"])
+        trivial["points"].append({"id": "extra", "slots": []})
+        path = tmp_path / "three-points.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        code, out, err = invoke(capsys, "dim", str(path), "--dimX", "4")
+        assert code == 2
+        assert out == ""
+        assert "trivial component must have exactly two special points" in err
+        assert "Traceback" not in err
+
+
+class TestTopLevel:
+    @pytest.mark.parametrize(
+        "argv", [["validate"], ["levels"], ["dim", "--dimX", "4"], ["glue"]], ids=lambda a: a[0]
+    )
+    @pytest.mark.parametrize("text", ["[]", "3", "null"])
+    def test_non_object_exit_2(self, capsys, tmp_path, argv, text):
+        path = tmp_path / "top.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = invoke(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: malformed") and "JSON object" in err
+
 
 class TestGlue:
     def test_fourth_roots(self, capsys, tmp_path):
@@ -159,6 +185,25 @@ class TestGlue:
         code, out, _ = invoke(capsys, "glue", str(path))
         assert code == 1
         assert "inconsistent" in out
+
+    def test_zero_multiplicity_exit_2(self, capsys, tmp_path):
+        payload = {
+            "levels": {"1": {"primes": {}, "arg": "0"}},
+            "nodes": [
+                {
+                    "id": "x",
+                    "directions": [
+                        {"direction": "d1", "s": 0, "product": {"primes": {}, "arg": "0"}, "range": [0, 1]},
+                    ],
+                }
+            ],
+        }
+        path = tmp_path / "glue.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = invoke(capsys, "glue", str(path))
+        assert code == 2
+        assert out == ""
+        assert "multiplicity 0 in d1 must be positive" in err
 
 
 class TestExample:

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from ncd_moduli import levelsys, maptype
+from ncd_moduli.dimension import stratum_codim
 from ncd_moduli.exactnum import ExactNonzeroComplex
 from ncd_moduli.fixtures import neck1a, neck1b, neck2, neck3, smooth_level_one
 from ncd_moduli.levelsys import (
@@ -23,7 +25,7 @@ from ncd_moduli.levelsys import (
     solve_gluing,
     torus_dim,
 )
-from ncd_moduli.maptype import Component, MapType, Node
+from ncd_moduli.maptype import Component, MapType, Node, check_broken_cylinders, check_naive, validate_structure
 from oracle_helpers import random_value
 
 
@@ -126,8 +128,64 @@ class TestScaling:
         assert dim == 1
         assert elapsed < 3.0, f"feasible_positive + torus_dim took {elapsed:.2f} s"
 
+    def test_neck2_copies_analysis_linear(self):
+        mt = disjoint_copies(neck2(), 160)
+        start = time.perf_counter()
+        problems = validate_structure(mt) + check_naive(mt) + check_broken_cylinders(mt)
+        sys = build_system(mt)
+        elapsed = time.perf_counter() - start
+        assert problems == []
+        assert len(sys.equations) == 4 * 160
+        assert elapsed < 1.0, f"validators + build_system took {elapsed:.2f} s"
+
+
+def _counting(monkeypatch, module, name: str) -> list:
+    """Replace module.name by a wrapper that records each call's arguments."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestAnalysedOnce:
+    def test_one_contraction_and_one_walk_per_fiber(self, monkeypatch):
+        contractions = _counting(monkeypatch, maptype, "contraction")
+        walks = _counting(monkeypatch, maptype, "walk_fiber")
+        mt = neck2()
+        assert validate_structure(mt) == []
+        assert check_broken_cylinders(mt) == []
+        build_system(mt)
+        assert stratum_codim(mt) == 2
+        gluing_problem_from_maptype(mt)
+        assert len(contractions) == 1
+        assert sorted(f.base_id for _, f in walks) == sorted(f.base_id for f in mt.fibers)
+
+    def test_level_matrix_nullspace_once(self, monkeypatch):
+        sys = build_system(neck2())
+        calls = _counting(monkeypatch, levelsys, "rational_nullspace")
+        assert torus_dim(sys) == 1
+        assert len(beta_relations(sys)) == 1
+        assert torus_dim(sys) == 1
+        assert sum(1 for (rows,) in calls if len(rows) == len(sys.equations)) == 1
+
 
 class TestTorusDim:
+    def test_replaced_system_gets_its_own_kernel(self):
+        sys = build_system(neck2())
+        assert torus_dim(sys) == 1
+        eq = sys.equations[0]
+        twin = dataclasses.replace(
+            sys, equations=sys.equations + (dataclasses.replace(eq, multiplicity=2 * eq.multiplicity),)
+        )
+        assert torus_dim(twin) == 0
+        assert len(beta_relations(twin)) == len(twin.betas)
+        assert torus_dim(sys) == 1
+
     def test_smooth(self):
         assert torus_dim(build_system(smooth_level_one())) == 1
 

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,6 @@ from ncd_moduli.maptype import (
     check_naive,
     check_relative_stability,
     contraction,
-    degree_check,
     dumps,
     eval_equal,
     evaluation,
@@ -139,6 +139,36 @@ class TestValidateStructure:
             mt.components, mt.nodes, mt.c1a, 4, mt.chi, mt.ell,
         )
         assert any("A.V" in v for v in validate_structure(bad))
+
+    @pytest.mark.parametrize("where", ["component", "other_component", "same_component"])
+    def test_duplicate_ids_first_occurrence_wins(self, where):
+        """A duplicated id is reported, and lookups read its first occurrence,
+        so the validators see the original records, not the stray copies."""
+        mt = neck2()
+        first = mt.components[0]
+        stray = tuple((pid, ContactRecord("other")) for pid, _ in first.points)
+        if where == "component":
+            comps = mt.components + (dataclasses.replace(first, genus=1, points=stray),)
+            expected = ["duplicate component ids", "duplicate point ids"]
+        elif where == "other_component":
+            second = mt.components[1]
+            comps = (first, dataclasses.replace(second, points=second.points + stray[:1])) + mt.components[2:]
+            expected = ["duplicate point ids"]
+        else:
+            comps = (dataclasses.replace(first, points=first.points + stray[:1]),) + mt.components[1:]
+            expected = ["duplicate point ids"]
+        dup = dataclasses.replace(mt, components=comps)
+        pid, rec = first.points[0]
+        assert validate_structure(dup) == expected
+        assert check_naive(dup) == []
+        assert check_broken_cylinders(dup) == []
+        assert dup.component(first.id) is comps[0]
+        assert dup.owner(pid) is comps[0]
+        assert dup.record(pid) is rec
+
+    def test_zero_multiplicity_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            ContactSlot(0, 1)
 
 
 class TestNaive:
@@ -395,7 +425,7 @@ class TestEvaluation:
 class TestDegree:
     @pytest.mark.parametrize("build", FIXTURES)
     def test_fixtures(self, build):
-        assert degree_check(build())
+        assert not any("marked contact degree" in v for v in validate_structure(build()))
 
     def test_failure(self):
         mt = simple_depth1_node()
@@ -403,7 +433,7 @@ class TestDegree:
             mt.building_mode, mt.m, mt.levels_by_component, mt.direction_components,
             mt.components, mt.nodes, mt.c1a, 4, mt.chi, mt.ell,
         )
-        assert not degree_check(bad)
+        assert validate_structure(bad) == ["marked contact degree 3 != A.V = 4"]
 
 
 class TestFormat:
