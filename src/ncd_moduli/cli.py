@@ -190,7 +190,10 @@ def _cmd_dim(args) -> int:
         mt = _load_maptype(args.file)
         if args.dimX is None:
             raise InputError("--dimX is required with a map-type file")
-        inp = dm.maptype_dimension_input(mt, args.dimX)
+        try:
+            inp = dm.maptype_dimension_input(mt, args.dimX)
+        except ValueError as e:
+            raise InputError(str(e)) from e
         try:
             codim = dm.stratum_codim(mt)
         except ls.LevelSystemError as e:
@@ -211,7 +214,10 @@ def _cmd_dim(args) -> int:
         missing = [k for k in ("c1A", "dimX", "chi", "ell", "AV") if getattr(args, k) is None]
         if missing:
             raise InputError(f"missing {', '.join('--' + k for k in missing)} (or give a map-type file)")
-        inp = dm.DimensionInput(args.c1A, args.dimX, args.chi, args.ell, args.AV)
+        try:
+            inp = dm.DimensionInput(args.c1A, args.dimX, args.chi, args.ell, args.AV)
+        except ValueError as e:
+            raise InputError(str(e)) from e
         result = {"expected_dim": dm.expected_dim(inp)}
         lines = [f"expected dimension: {result['expected_dim']}"]
     _emit(args, "dim", result, lines)

@@ -10,24 +10,88 @@ divisors, and the continuous part is the kernel torus of M.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .lattice import IntegerMatrix, smith_normal_form
 from .linalg import rational_nullspace, solve_linear
 from .values import ExactNonzeroComplex
 
 
+class TorsionBranches(Sequence):
+    """The torsion branches of a consistent power system, built on demand.
+
+    Branch number b has the mixed-radix digits j_0 .. j_{r-1} of b over the
+    nonzero elementary divisors d_0 .. d_{r-1}, the last digit running
+    fastest (the order of ``itertools.product``).  Unknown i of that branch
+    has the magnitude ``mags[i]``, which no branch changes, and the argument
+    ``((offsets[i] + sum_k j_k * steps[i][k]) mod den) / den`` turns.
+    """
+
+    __slots__ = ("_data", "_len")
+
+    def __init__(self, mags, divisors, offsets, steps, den):
+        self._data = (mags, divisors, offsets, steps, den)
+        self._len = math.prod(divisors)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index) -> tuple[ExactNonzeroComplex, ...]:
+        b = operator.index(index)
+        if b < 0:
+            b += self._len
+        if not 0 <= b < self._len:
+            raise IndexError("torsion branch index out of range")
+        digits = []
+        for d in reversed(self._data[1]):
+            b, j = divmod(b, d)
+            digits.append(j)
+        return self._branch(digits[::-1])
+
+    def __iter__(self):
+        return map(self._branch, itertools.product(*map(range, self._data[1])))
+
+    def _branch(self, digits) -> tuple[ExactNonzeroComplex, ...]:
+        mags, _, offsets, steps, den = self._data
+        return tuple([
+            ExactNonzeroComplex._normalised(
+                mag, Fraction((c + sum(map(operator.mul, digits, row))) % den, den)
+            )
+            for mag, c, row in zip(mags, offsets, steps)
+        ])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, TorsionBranches):
+            return self._data == other._data or tuple(self) == tuple(other)
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"TorsionBranches(<{self._len} branches>)"
+
+
 @dataclass(frozen=True)
 class PowerSystemSolution:
-    """Outcome of solving a multiplicative power system."""
+    """Outcome of solving a multiplicative power system.
+
+    ``solutions`` has one representative per torsion branch, ``branch_count``
+    of them; it is empty when the system is inconsistent.
+    """
 
     consistent: bool
     violated_equation: Optional[int]
     branch_count: int
     kernel_rank: int
-    solutions: tuple[tuple[ExactNonzeroComplex, ...], ...]
+    solutions: Sequence[tuple[ExactNonzeroComplex, ...]]
 
     def __bool__(self) -> bool:
         return self.consistent
@@ -40,7 +104,13 @@ def _int_rows(M) -> list[list[int]]:
 
 
 def _solve_once(rows: list[list[int]], values: Sequence[ExactNonzeroComplex]):
-    """Solve the full system; returns a PowerSystemSolution with index None."""
+    """Solve the full system, or return None if it is inconsistent.
+
+    The branches are not built here: the argument of every branch is an
+    integer numerator over one common denominator ``den``, so the solution
+    keeps only the per-unknown offsets, the per-digit steps and the
+    magnitudes, and ``TorsionBranches`` builds a branch when it is read.
+    """
     m = len(rows)
     n = len(rows[0]) if m else 0
     # magnitude: one rational linear solve per prime in the combined support
@@ -56,9 +126,9 @@ def _solve_once(rows: list[list[int]], values: Sequence[ExactNonzeroComplex]):
     # argument: D psi = U c over Q/Z with U M V = D
     args = [v.arg for v in values]
     if m == 0:
-        branch_sets: list[list[Fraction]] = []
+        t: list[Fraction] = []
+        divisors: list[int] = []
         V = IntegerMatrix.identity(n)
-        r = 0
     else:
         U, D, V = smith_normal_form(rows)
         t = []
@@ -66,42 +136,35 @@ def _solve_once(rows: list[list[int]], values: Sequence[ExactNonzeroComplex]):
             ti = sum(Fraction(U.entries[i][j]) * args[j] for j in range(m)) % 1
             t.append(ti)
         divisors = [D.entries[i][i] for i in range(min(m, n))]
-        r = sum(1 for d in divisors if d != 0)
         for i in range(m):
             d = divisors[i] if i < len(divisors) else 0
             if d == 0 and t[i] != 0:
                 return None
-        branch_sets = [
-            [(t[i] + j) / divisors[i] for j in range(divisors[i])] for i in range(r)
-        ]
-    branch_count = 1
-    for bs in branch_sets:
-        branch_count *= len(bs)
-    solutions = []
-    for combo in itertools.product(*branch_sets) if branch_sets else [()]:
-        psi = list(combo) + [Fraction(0)] * (n - len(combo))
-        theta = [
-            sum(Fraction(V.entries[i][k]) * psi[k] for k in range(n)) % 1
-            for i in range(n)
-        ] if m else [Fraction(0)] * n
-        mu = tuple(
-            ExactNonzeroComplex.from_parts(
-                {p: mag_parts[p][j] for p in primes if mag_parts[p][j] != 0},
-                theta[j],
-            )
-            for j in range(n)
-        )
-        solutions.append(mu)
-    return PowerSystemSolution(True, None, branch_count, kernel_rank, tuple(solutions))
+        divisors = [d for d in divisors if d != 0]
+    # psi_k = (t_k + j_k) / d_k = (base_k + j_k * den / d_k) / den, and
+    # theta_i = sum_k V_ik psi_k mod 1; psi_k = 0 for k >= r.
+    r = len(divisors)
+    den = math.lcm(*(t[k].denominator * divisors[k] for k in range(r)))
+    base = [t[k].numerator * (den // (t[k].denominator * divisors[k])) for k in range(r)]
+    offsets = tuple(sum(V.entries[i][k] * base[k] for k in range(r)) % den for i in range(n))
+    steps = tuple(
+        tuple(V.entries[i][k] * (den // divisors[k]) % den for k in range(r)) for i in range(n)
+    )
+    mags = tuple(
+        tuple((p, mag_parts[p][j]) for p in primes if mag_parts[p][j] != 0) for j in range(n)
+    )
+    branches = TorsionBranches(mags, tuple(divisors), offsets, steps, den)
+    return PowerSystemSolution(True, None, len(branches), kernel_rank, branches)
 
 
 def solve_power_system(M, values: Sequence[ExactNonzeroComplex]) -> PowerSystemSolution:
     """Solve prod_j mu_j^{M[k][j]} = values[k] exactly.
 
-    Returns all torsion branches (one representative vector each, with the
-    continuous kernel contribution set to zero), or an inconsistency report
-    carrying the index of the first equation that cannot be satisfied
-    together with its predecessors.
+    Returns the torsion branches (one representative vector each, with the
+    continuous kernel contribution set to zero) as a lazy, indexable
+    sequence of length ``branch_count`` that builds a branch only when it
+    is read, or an inconsistency report carrying the index of the first
+    equation that cannot be satisfied together with its predecessors.
     """
     rows = _int_rows(M)
     values = list(values)

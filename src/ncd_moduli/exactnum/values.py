@@ -71,6 +71,20 @@ class ExactNonzeroComplex:
         return cls(tuple(mag), arg)
 
     @classmethod
+    def _normalised(cls, mag: tuple[tuple[int, Fraction], ...], arg: Fraction) -> "ExactNonzeroComplex":
+        """Build a value from data already in normal form, without ``_norm_mag``.
+
+        The caller guarantees the invariant ``__post_init__`` would establish:
+        ``mag`` is a tuple of (prime, exponent) pairs sorted by prime, with
+        distinct primes and nonzero ``Fraction`` exponents, and ``arg`` is a
+        ``Fraction`` in [0, 1).  Data that break it break equality and hashing.
+        """
+        value = object.__new__(cls)
+        object.__setattr__(value, "mag", mag)
+        object.__setattr__(value, "arg", arg)
+        return value
+
+    @classmethod
     def from_parts(cls, mag: Mapping[int, RationalLike], arg: RationalLike = 0) -> "ExactNonzeroComplex":
         return cls(tuple((int(p), as_rational(e)) for p, e in mag.items()), as_rational(arg))
 
@@ -145,9 +159,44 @@ def coeff_to_json(a: ExactNonzeroComplex) -> dict:
     }
 
 
+# Miller-Rabin with the first 13 prime bases is deterministic below this bound
+# (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic primality test; correct for every n < _MR_BOUND."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def coeff_from_json(obj: Mapping) -> ExactNonzeroComplex:
+    """Load a coefficient; every magnitude key must be a prime below _MR_BOUND."""
     primes = obj.get("primes", {})
-    return ExactNonzeroComplex.from_parts(
-        {int(p): Fraction(str(e)) for p, e in primes.items()},
-        Fraction(str(obj.get("arg", "0"))),
-    )
+    mag = {}
+    for key, e in primes.items():
+        p = int(key)
+        if p >= _MR_BOUND:
+            raise ValueError(f"magnitude key {key} is not below {_MR_BOUND}, the bound of the primality check")
+        if not _is_prime(p):
+            raise ValueError(f"magnitude key {key} is not a prime")
+        mag[p] = Fraction(str(e))
+    return ExactNonzeroComplex.from_parts(mag, Fraction(str(obj.get("arg", "0"))))

@@ -524,7 +524,9 @@ def check_enhanced(mt: MapType) -> EnhancedResult:
                 (),
                 failure=f"{n.id}: no gluing constant matches direction {d}",
             )
-        witness.append((n.id, sol.solutions[0][0]))
+        # by iteration, not indexing: perfbench's tracer wraps the branches
+        # in an object that can only be iterated
+        witness.append((n.id, next(iter(sol.solutions))[0]))
         branches.append((n.id, sol.branch_count))
     return EnhancedResult(True, tuple(witness), tuple(branches))
 

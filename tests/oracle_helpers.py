@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ncd_moduli.exactnum import ExactNonzeroComplex
+from ncd_moduli.exactnum import ExactNonzeroComplex, smith_normal_form, solve_linear
 
 
 # -- Fourier-Motzkin feasibility of {A v = 0, v >= 1} -------------------------
@@ -172,6 +172,51 @@ def arg_grid_solutions(M, args, L):
     vals = (grid @ M.T) % L
     mask = np.all(vals == rhs % L, axis=1)
     return [tuple(Fraction(int(j), L) for j in row) for row in grid[mask]]
+
+
+def reference_power_branches(M, values):
+    """Every torsion branch of prod_j mu_j^{M[k][j]} = values[k], built
+    eagerly on Fractions in ``itertools.product`` order, or None if the
+    system is inconsistent.
+
+    This is the enumeration the library replaced by lazy integer branches; it
+    uses the same Smith form and magnitude solve, so the library must return
+    exactly these branches in this order.
+    """
+    rows = [[int(x) for x in row] for row in M]
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    primes = sorted({p for v in values for p, _ in v.mag})
+    mag_parts = {}
+    for p in primes:
+        sol = solve_linear(rows, [v.mag_dict.get(p, Fraction(0)) for v in values])
+        if sol is None:
+            return None
+        mag_parts[p] = sol
+    args = [v.arg for v in values]
+    branch_sets = []
+    if m:
+        U, D, V = smith_normal_form(rows)
+        t = [sum(Fraction(U.entries[i][j]) * args[j] for j in range(m)) % 1 for i in range(m)]
+        divisors = [D.entries[i][i] for i in range(min(m, n))]
+        r = sum(1 for d in divisors if d != 0)
+        for i in range(m):
+            if (divisors[i] if i < len(divisors) else 0) == 0 and t[i] != 0:
+                return None
+        branch_sets = [[(t[i] + j) / divisors[i] for j in range(divisors[i])] for i in range(r)]
+    solutions = []
+    for combo in itertools.product(*branch_sets):
+        psi = list(combo) + [Fraction(0)] * (n - len(combo))
+        theta = [
+            sum(Fraction(V.entries[i][k]) * psi[k] for k in range(n)) % 1 for i in range(n)
+        ] if m else [Fraction(0)] * n
+        solutions.append(tuple(
+            ExactNonzeroComplex.from_parts(
+                {p: mag_parts[p][j] for p in primes if mag_parts[p][j] != 0}, theta[j]
+            )
+            for j in range(n)
+        ))
+    return tuple(solutions)
 
 
 def power_system_oracle_consistent(M, values, L) -> bool:

@@ -127,6 +127,59 @@ class TestDim:
         assert "trivial component must have exactly two special points" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("dim_x", ["3", "0"])
+    @pytest.mark.parametrize("form", ["flags", "file"])
+    def test_bad_dimx_exit_2(self, capsys, fixture_file, form, dim_x):
+        if form == "flags":
+            argv = ["--c1A", "1", "--dimX", dim_x, "--chi", "2", "--ell", "0", "--AV", "1"]
+        else:
+            argv = [fixture_file("neck2"), "--dimX", dim_x]
+        code, out, err = invoke(capsys, "dim", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: dimX must be even and at least 2\n"
+
+
+def _composite_key(obj):
+    """Rename the first magnitude key 2 found in a JSON tree to 4."""
+    if isinstance(obj, dict):
+        if "primes" in obj and "2" in obj["primes"]:
+            obj["primes"]["4"] = obj["primes"].pop("2")
+            return True
+        return any(_composite_key(v) for v in obj.values())
+    if isinstance(obj, list):
+        return any(_composite_key(v) for v in obj)
+    return False
+
+
+class TestCompositeKey:
+    @pytest.mark.parametrize(
+        "argv", [["validate"], ["levels"], ["dim", "--dimX", "4"]], ids=lambda a: a[0]
+    )
+    def test_maptype_file_exit_2(self, capsys, tmp_path, argv):
+        obj = json.loads(CATALOG["neck2"].text())
+        assert _composite_key(obj)
+        path = tmp_path / "composite.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        code, out, err = invoke(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: malformed map-type file")
+        assert "magnitude key 4 is not a prime" in err
+
+    def test_gluing_file_exit_2(self, capsys, tmp_path):
+        payload = {
+            "levels": {"1": {"primes": {"4": "1"}, "arg": "0"}},
+            "nodes": [{"id": "x", "directions": [
+                {"direction": "d1", "s": 2, "product": {"primes": {}, "arg": "0"}, "range": [0, 1]}]}],
+        }
+        path = tmp_path / "glue.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = invoke(capsys, "glue", str(path))
+        assert code == 2
+        assert out == ""
+        assert "magnitude key 4 is not a prime" in err
+
 
 class TestTopLevel:
     @pytest.mark.parametrize(

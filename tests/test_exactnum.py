@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from ncd_moduli.exactnum import (
     ONE,
     ExactNonzeroComplex,
     RationalMatrix,
+    coeff_from_json,
     rank,
     rational_nullspace,
     rref,
@@ -23,9 +25,11 @@ from oracle_helpers import (
     lcm,
     power_system_oracle_consistent,
     random_value,
+    reference_power_branches,
     reference_rref,
     reference_strict_positive_solution,
 )
+from ncd_moduli.exactnum.values import _is_prime
 
 frac = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 exact_values = st.builds(
@@ -60,6 +64,26 @@ def rational_matrices(draw, max_rows=6, max_cols=8):
         for row in rows:
             row[-1] -= sum(row)
     return rows
+
+
+@st.composite
+def power_systems(draw):
+    """Systems up to 3 x 3 with entries in [-4, 4]; half of them consistent
+    by construction (the values are the powers of a drawn solution)."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    M = [[draw(st.integers(-4, 4)) for _ in range(n)] for _ in range(m)]
+    if draw(st.booleans()):
+        mu = [draw(exact_values) for _ in range(n)]
+        values = []
+        for row in M:
+            acc = ONE
+            for e, x in zip(row, mu):
+                acc = acc * x.pow(e)
+            values.append(acc)
+    else:
+        values = [draw(exact_values) for _ in range(m)]
+    return M, values
 
 
 class TestValues:
@@ -130,6 +154,45 @@ class TestValues:
         assert len(rs) == n
         for r in rs:
             assert r.pow(n) == a
+
+    @given(
+        st.dictionaries(st.sampled_from((2, 3, 5, 7)), frac.filter(bool)),
+        st.builds(Fraction, st.integers(0, 11), st.just(12)),
+    )
+    def test_normalised_constructor_matches_from_parts(self, mag, arg):
+        a = ExactNonzeroComplex._normalised(tuple(sorted(mag.items())), arg)
+        b = ExactNonzeroComplex.from_parts(mag, arg)
+        assert a == b and hash(a) == hash(b) and str(a) == str(b)
+
+
+class TestCoeffJson:
+    def test_composite_key_rejected(self):
+        with pytest.raises(ValueError, match="magnitude key 4 is not a prime"):
+            coeff_from_json({"primes": {"4": "1"}})
+
+    @pytest.mark.parametrize("key", ["0", "1", "-3"])
+    def test_small_keys_rejected(self, key):
+        with pytest.raises(ValueError, match=f"magnitude key {key} is not a prime"):
+            coeff_from_json({"primes": {key: "1"}})
+
+    def test_large_prime_accepted(self):
+        p = 2**61 - 1
+        assert coeff_from_json({"primes": {str(p): "1/2"}}).mag == ((p, Fraction(1, 2)),)
+
+    def test_strong_pseudoprime_rejected(self):
+        # the least strong pseudoprime to all of the bases 2, 3, ..., 37
+        with pytest.raises(ValueError, match="not a prime"):
+            coeff_from_json({"primes": {"318665857834031151167461": "1"}})
+
+    def test_key_above_bound_rejected(self):
+        with pytest.raises(ValueError, match="3317044064679887385961981"):
+            coeff_from_json({"primes": {str(2**89 - 1): "1"}})
+
+    def test_is_prime_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+        assert [n for n in range(5000) if _is_prime(n) != trial(n)] == []
 
 
 class TestLinalg:
@@ -287,6 +350,38 @@ class TestPowerSystems:
         assert sol.consistent
         assert sol.kernel_rank == 1
         assert sol.branch_count == 1
+
+    @given(power_systems())
+    @settings(max_examples=200, deadline=None)
+    def test_lazy_branches_match_reference(self, system):
+        M, values = system
+        sol = solve_power_system(M, values)
+        ref = reference_power_branches(M, values)
+        assert sol.consistent == (ref is not None)
+        if ref is None:
+            return
+        listed = list(sol.solutions)
+        assert tuple(listed) == ref
+        assert len(sol.solutions) == sol.branch_count == len(ref)
+        for i in range(-len(ref), len(ref)):
+            assert sol.solutions[i] == listed[i]
+        for i in (len(ref), -len(ref) - 1):
+            with pytest.raises(IndexError):
+                sol.solutions[i]
+        assert list(sol.solutions) == listed
+        assert solve_power_system(M, values) == sol
+
+    def test_diagonal_300_first_branch_fast(self):
+        M = [[300, 0], [0, 300]]
+        values = [ExactNonzeroComplex.from_parts({2: 3, 3: 1}, Fraction(1, 12)),
+                  ExactNonzeroComplex.from_parts({5: 2}, Fraction(5, 12))]
+        start = time.perf_counter()
+        sol = solve_power_system(M, values)
+        first = sol.solutions[0]
+        elapsed = time.perf_counter() - start
+        assert sol.branch_count == 90000
+        assert verify_solution(M, values, first)
+        assert elapsed < 0.1, f"solve_power_system + first branch took {elapsed:.3f} s"
 
     @pytest.mark.parametrize("seed", range(8))
     def test_against_grid_oracle(self, seed):

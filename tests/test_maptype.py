@@ -1,4 +1,5 @@
 import dataclasses
+import time
 from fractions import Fraction
 
 import pytest
@@ -300,6 +301,18 @@ class TestEnhanced:
         assert dict(res.branch_counts)["z"] == 2
         c = dict(res.witness)["z"]
         assert c.pow(2) == _c(4).inverse()
+
+    def test_million_branches_fast(self):
+        # s = 10**6 torsion branches; the witness needs only the first
+        mt = simple_depth1_node(s=10**6, a_minus=2, a_plus=3)
+        start = time.perf_counter()
+        res = check_enhanced(mt)
+        elapsed = time.perf_counter() - start
+        assert res.satisfiable
+        assert dict(res.branch_counts)["z"] == 10**6
+        c = dict(res.witness)["z"]
+        assert c.pow(10**6) == _c(6).inverse()
+        assert elapsed < 0.5, f"check_enhanced took {elapsed:.2f} s"
 
     def test_depth2_conflict(self):
         # products (2, 3) with s = (1, 1) cannot share a constant
