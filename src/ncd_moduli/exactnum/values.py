@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Union
 
 RationalLike = Union[int, str, Fraction]
@@ -26,11 +27,37 @@ def as_rational(x: RationalLike) -> Fraction:
     return Fraction(x)
 
 
-def _factor(n: int) -> dict[int, int]:
-    # sympy handles arbitrary magnitudes; fixture inputs are tiny.
-    from sympy import factorint
+# Trial division in _factor stops below this bound.
+_TRIAL_BOUND = 1 << 16
 
-    return {int(p): int(e) for p, e in factorint(n).items()}
+
+def _factor(n: int) -> dict[int, int]:
+    """Exact prime factorisation ``{prime: exponent}`` of an integer n >= 1.
+
+    Trial division removes every prime factor below _TRIAL_BOUND = 2**16.  A
+    cofactor c > 1 left after it is accepted only when it is provably prime:
+    when c < 2**32 (it has no factor below its square root) or when
+    c < _MR_BOUND and the deterministic Miller-Rabin test passes.  So every
+    n < 2**32 factors, and so does any larger n with at most one prime factor
+    of 2**16 or more.  Any other n raises ``ValueError`` naming n and the
+    bound: no call makes more than about 2**15 trial divisions.
+    """
+    factors: dict[int, int] = {}
+    m = n
+    for d in chain((2,), range(3, _TRIAL_BOUND, 2)):
+        if d * d > m:
+            break
+        while m % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            m //= d
+    if m > 1:
+        if m >= _TRIAL_BOUND * _TRIAL_BOUND and not (m < _MR_BOUND and _is_prime(m)):
+            raise ValueError(
+                f"cannot factor {n}: trial division below {_TRIAL_BOUND} leaves {m}, "
+                "which is not provably prime"
+            )
+        factors[m] = 1
+    return factors
 
 
 def _norm_mag(items: Iterable[tuple[int, Fraction]]) -> tuple[tuple[int, Fraction], ...]:
@@ -61,6 +88,14 @@ class ExactNonzeroComplex:
 
     @classmethod
     def from_rational(cls, q: RationalLike) -> "ExactNonzeroComplex":
+        """The value of a nonzero rational q, by factoring its numerator and denominator.
+
+        Both are factored by ``_factor``: exact for every integer below 2**32
+        and for any larger one with at most one prime factor of 2**16 or more.
+        Raises ``ValueError`` for q = 0 and for a numerator or denominator
+        outside that bound.  Values with large primes are built exactly with
+        :meth:`from_parts` instead.
+        """
         q = as_rational(q)
         if q == 0:
             raise ValueError("0 is not an element of the nonzero multiplicative group")
@@ -188,9 +223,24 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _json_rational(value, field: str) -> Fraction:
+    try:
+        return Fraction(str(value))
+    except ZeroDivisionError:
+        raise ValueError(f"{field} = {value} has a zero denominator") from None
+
+
 def coeff_from_json(obj: Mapping) -> ExactNonzeroComplex:
-    """Load a coefficient; every magnitude key must be a prime below _MR_BOUND."""
+    """Load a coefficient; every magnitude key must be a prime below _MR_BOUND.
+
+    Raises ``ValueError`` for a coefficient or a ``primes`` that is not an
+    object, and for a rational with a zero denominator.
+    """
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"a coefficient must be an object, not {type(obj).__name__}")
     primes = obj.get("primes", {})
+    if not isinstance(primes, Mapping):
+        raise ValueError(f"coefficient primes must be an object, not {type(primes).__name__}")
     mag = {}
     for key, e in primes.items():
         p = int(key)
@@ -198,5 +248,5 @@ def coeff_from_json(obj: Mapping) -> ExactNonzeroComplex:
             raise ValueError(f"magnitude key {key} is not below {_MR_BOUND}, the bound of the primality check")
         if not _is_prime(p):
             raise ValueError(f"magnitude key {key} is not a prime")
-        mag[p] = Fraction(str(e))
-    return ExactNonzeroComplex.from_parts(mag, Fraction(str(obj.get("arg", "0"))))
+        mag[p] = _json_rational(e, f"coefficient exponent of prime {key}")
+    return ExactNonzeroComplex.from_parts(mag, _json_rational(obj.get("arg", "0"), "coefficient arg"))

@@ -278,6 +278,20 @@ def random_value(rng: random.Random, primes=PRIMES, arg_dens=(1, 2, 3, 4, 6, 8))
     return ExactNonzeroComplex.from_parts(mag, Fraction(rng.randrange(d), d))
 
 
+def reference_factor(n: int) -> dict[int, int]:
+    """Prime factorisation of n >= 1 by plain trial division over every d >= 2."""
+    factors: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
 def lcm(*xs: int) -> int:
     return math.lcm(*xs)
 

@@ -1,3 +1,4 @@
+import copy
 import json
 import subprocess
 import sys
@@ -181,6 +182,51 @@ class TestCompositeKey:
         assert "magnitude key 4 is not a prime" in err
 
 
+def _first_coeff(obj):
+    """The first coefficient object (one with a "primes" key) in a JSON tree."""
+    if isinstance(obj, dict):
+        if "primes" in obj:
+            return obj
+        values = obj.values()
+    elif isinstance(obj, list):
+        values = obj
+    else:
+        return None
+    return next((c for c in map(_first_coeff, values) if c is not None), None)
+
+
+_GLUE_PAYLOAD = {
+    "levels": {"1": {"primes": {"2": "4"}, "arg": "0"}},
+    "nodes": [{"id": "x", "directions": [
+        {"direction": "d1", "s": 4, "product": {"primes": {}, "arg": "0"}, "range": [0, 1]}]}],
+}
+
+
+class TestMalformedCoeff:
+    CASES = {
+        "primes-list": ({"primes": ["2"]}, "coefficient primes must be an object, not list"),
+        "arg-zero-den": ({"arg": "1/0"}, "coefficient arg = 1/0 has a zero denominator"),
+        "exponent-zero-den": (
+            {"primes": {"2": "1/0"}},
+            "coefficient exponent of prime 2 = 1/0 has a zero denominator",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("command", ["validate", "glue"])
+    def test_exit_2(self, capsys, tmp_path, command, case):
+        change, message = self.CASES[case]
+        obj = json.loads(CATALOG["neck2"].text()) if command == "validate" else copy.deepcopy(_GLUE_PAYLOAD)
+        _first_coeff(obj).update(change)
+        path = tmp_path / "coeff.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        code, out, err = invoke(capsys, command, str(path))
+        what = "map-type" if command == "validate" else "gluing"
+        assert code == 2
+        assert out == ""
+        assert err == f"error: malformed {what} file: {message}\n"
+
+
 class TestTopLevel:
     @pytest.mark.parametrize(
         "argv", [["validate"], ["levels"], ["dim", "--dimX", "4"], ["glue"]], ids=lambda a: a[0]
@@ -324,3 +370,36 @@ class TestProcessLevel:
         )
         assert strata.returncode == 0
         assert "resolution 3, cover 6, next divisor 3" in strata.stdout
+
+
+_NO_SYMPY_SCRIPT = """
+import contextlib, io, json, sys
+sys.modules["sympy"] = None  # any import of sympy now raises ImportError
+from ncd_moduli import cli
+from ncd_moduli.fixtures import CATALOG
+calls = [["example", name] for name in sorted(CATALOG)]
+calls += [["validate", sys.argv[1]], ["levels", sys.argv[1]], ["dim", sys.argv[1], "--dimX", "4"]]
+results = []
+for argv in calls:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.run(argv)
+    results.append([argv, code, buf.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_runs_without_sympy(capsys, fixture_file):
+    neck = fixture_file("neck3")
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SYMPY_SCRIPT, neck], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert len(results) == len(CATALOG) + 3
+    for argv, code, out in results:
+        assert code == 0, argv
+        if argv[0] == "example":
+            assert out == CATALOG[argv[1]].text()
+        else:
+            assert (code, out) == invoke(capsys, *argv)[:2]

@@ -25,11 +25,12 @@ from oracle_helpers import (
     lcm,
     power_system_oracle_consistent,
     random_value,
+    reference_factor,
     reference_power_branches,
     reference_rref,
     reference_strict_positive_solution,
 )
-from ncd_moduli.exactnum.values import _is_prime
+from ncd_moduli.exactnum.values import _factor, _is_prime
 
 frac = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 exact_values = st.builds(
@@ -165,6 +166,41 @@ class TestValues:
         assert a == b and hash(a) == hash(b) and str(a) == str(b)
 
 
+class TestFactor:
+    @given(st.integers(1, 10**9))
+    @settings(max_examples=300)
+    def test_matches_trial_division(self, n):
+        assert _factor(n) == reference_factor(n)
+
+    @given(
+        st.lists(st.sampled_from((2, 3, 5, 7, 11, 13, 65521)), max_size=8),
+        st.sampled_from((2**61 - 1, 4294967291)),
+    )
+    def test_one_large_prime(self, small, large):
+        n = large
+        for p in small:
+            n *= p
+        expected = reference_factor(n // large)
+        expected[large] = 1
+        assert _factor(n) == expected
+
+    @given(st.integers(-(2**32 - 1), 2**32 - 1).filter(bool), st.integers(1, 2**32 - 1))
+    def test_from_rational_rebuilds_value(self, a, b):
+        value = ExactNonzeroComplex.from_rational(Fraction(a, b))
+        rebuilt = Fraction(1)
+        for p, e in value.mag:
+            assert e.denominator == 1
+            rebuilt *= Fraction(p) ** e
+        assert value.arg in (0, Fraction(1, 2))
+        assert (rebuilt if value.arg == 0 else -rebuilt) == Fraction(a, b)
+
+    def test_two_large_primes_rejected_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="4295229443.*65536"):
+            ExactNonzeroComplex.from_rational(65537 * 65539)
+        assert time.perf_counter() - start < 0.05
+
+
 class TestCoeffJson:
     def test_composite_key_rejected(self):
         with pytest.raises(ValueError, match="magnitude key 4 is not a prime"):
@@ -187,6 +223,11 @@ class TestCoeffJson:
     def test_key_above_bound_rejected(self):
         with pytest.raises(ValueError, match="3317044064679887385961981"):
             coeff_from_json({"primes": {str(2**89 - 1): "1"}})
+
+    @pytest.mark.parametrize("obj", ["2", ["2"], None])
+    def test_non_object_coefficient_rejected(self, obj):
+        with pytest.raises(ValueError, match="a coefficient must be an object"):
+            coeff_from_json(obj)
 
     def test_is_prime_matches_trial_division(self):
         def trial(n):
