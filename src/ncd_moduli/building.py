@@ -29,14 +29,6 @@ class PieceLabel:
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(int(x) for x in self.levels))
 
-    @property
-    def zero_slots(self) -> tuple[int, ...]:
-        return tuple(i for i, l in enumerate(self.levels) if l == 0)
-
-    @property
-    def global_level(self) -> int:
-        return max(self.levels, default=0)
-
 
 @dataclass(frozen=True)
 class PieceRecord:
@@ -126,9 +118,6 @@ class LevelBuilding:
     def connected_piece_count(self) -> int:
         return sum(r.base_components for r in self.pieces)
 
-    def labeled_piece_count(self) -> int:
-        return sum(r.base_components * r.orbit_size for r in self.pieces)
-
     def piece_classes(self) -> tuple[PieceClass, ...]:
         """Aggregate piece records of equal depth and level pattern.
 
@@ -184,27 +173,29 @@ def _builder(
                 pieces.append(
                     PieceRecord(PieceLabel(s.id, rep), s.depth, len(orb), s.normalization_components)
                 )
-        # divisor branches over this stratum: every local label, one signed slot
-        seen_signed: set[tuple[tuple[int, ...], int, int]] = set()
+        # divisor branches over this stratum: one orbit per (local label, slot)
+        # class.  A slot's level is constant on its orbit, so both signs are
+        # emitted at the orbit's first member.
+        orbit_rep: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]] = {}
+        zero_side: list[DivisorStratumLabel] = []
         for lv in itertools.product(*[range(b + 1) for b in slot_bounds]):
             for slot in range(s.depth):
-                for sign in (1, -1):
-                    if sign == -1 and lv[slot] == 0:
-                        continue
-                    key = (lv, slot, sign)
-                    if key in seen_signed:
-                        continue
-                    orb = _orbit_signed((lv, slot), s.monodromy)
-                    seen_signed |= {(l, sl, sign) for l, sl in orb}
-                    rep_lv, rep_slot = min(orb)
-                    strata_labels.append(DivisorStratumLabel(s.id, rep_lv, rep_slot, sign))
-        for label in [x for x in strata_labels if x.stratum == s.id and x.sign == 1]:
-            if label.levels[label.slot] >= slot_bounds[label.slot]:
-                continue  # top-level zero divisor: part of the building's divisor
+                if (lv, slot) in orbit_rep:
+                    continue
+                orb = _orbit_signed((lv, slot), s.monodromy)
+                rep_lv, rep_slot = min(orb)
+                orbit_rep.update(dict.fromkeys(orb, (rep_lv, rep_slot)))
+                plus = DivisorStratumLabel(s.id, rep_lv, rep_slot, 1)
+                strata_labels.append(plus)
+                if lv[slot] >= 1:
+                    strata_labels.append(DivisorStratumLabel(s.id, rep_lv, rep_slot, -1))
+                # at the top level the zero side is part of the building's divisor
+                if lv[slot] < slot_bounds[rep_slot]:
+                    zero_side.append(plus)
+        for label in zero_side:
             up = list(label.levels)
             up[label.slot] += 1
-            orb = _orbit_signed((tuple(up), label.slot), s.monodromy)
-            rep_lv, rep_slot = min(orb)
+            rep_lv, rep_slot = orbit_rep[(tuple(up), label.slot)]
             pairs.append((label, DivisorStratumLabel(s.id, rep_lv, rep_slot, -1)))
     b = LevelBuilding(
         divisor=d,

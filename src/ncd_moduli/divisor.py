@@ -301,19 +301,28 @@ def divisor_to_dict(d: CombinatorialDivisor) -> dict:
     }
 
 
-def divisor_from_dict(obj: Mapping) -> CombinatorialDivisor:
-    comps = tuple(BranchComponent(c, c) for c in obj["components"])
-    strata = tuple(
-        Stratum(
-            id=s["id"],
-            depth=int(s["depth"]),
-            slots=tuple(s.get("slots", ())),
-            normalization_components=int(s.get("normalization_components", 1)),
-            monodromy=tuple(tuple(p) for p in s.get("monodromy", ())),
-            boundary=frozenset(s.get("boundary", ())),
-        )
-        for s in obj["strata"]
+def _id(value, field: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{field} must be a string, not {type(value).__name__}")
+    return value
+
+
+def _stratum_from_dict(s: Mapping) -> Stratum:
+    sid = _id(s["id"], "stratum id")
+    return Stratum(
+        id=sid,
+        depth=int(s["depth"]),
+        slots=tuple(_id(r, f"{sid}: slot reference") for r in s.get("slots", ())),
+        normalization_components=int(s.get("normalization_components", 1)),
+        monodromy=tuple(tuple(p) for p in s.get("monodromy", ())),
+        boundary=frozenset(_id(b, f"{sid}: boundary reference") for b in s.get("boundary", ())),
     )
+
+
+def divisor_from_dict(obj: Mapping) -> CombinatorialDivisor:
+    """Load a divisor; ``ValueError`` names an id or reference that is not a string."""
+    comps = tuple(BranchComponent(_id(c, "component id"), c) for c in obj["components"])
+    strata = tuple(_stratum_from_dict(s) for s in obj["strata"])
     return CombinatorialDivisor(int(obj["dimX"]), comps, strata)
 
 

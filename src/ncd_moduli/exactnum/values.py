@@ -12,6 +12,8 @@ n-th roots stay inside it, and equality is exact structural equality.
 
 from __future__ import annotations
 
+import re
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -223,11 +225,29 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# A JSON rational's numerator and denominator have at most this many digits.
+_RATIONAL_DIGITS = 1000
+_RATIONAL = re.compile(rf"[+-]?[0-9]{{1,{_RATIONAL_DIGITS}}}(/[0-9]{{1,{_RATIONAL_DIGITS}}})?")
+
+
 def _json_rational(value, field: str) -> Fraction:
-    try:
-        return Fraction(str(value))
-    except ZeroDivisionError:
-        raise ValueError(f"{field} = {value} has a zero denominator") from None
+    """A JSON integer (not a bool) or a string ``[+-]?digits(/digits)?``.
+
+    Anything else, exponent and decimal notation included, raises
+    ``ValueError`` before any big number is built.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        if abs(value) < 10**_RATIONAL_DIGITS:
+            return Fraction(value)
+    elif isinstance(value, str) and _RATIONAL.fullmatch(value):
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"{field} = {value} has a zero denominator") from None
+    raise ValueError(
+        f"{field} = {reprlib.repr(value)} is not an integer or a fraction p/q "
+        f"of at most {_RATIONAL_DIGITS} digits each"
+    )
 
 
 def coeff_from_json(obj: Mapping) -> ExactNonzeroComplex:

@@ -14,6 +14,14 @@ from fractions import Fraction
 
 import numpy as np
 
+from ncd_moduli.building import (
+    DivisorStratumLabel,
+    LevelBuilding,
+    PieceLabel,
+    PieceRecord,
+    _orbit,
+    _orbit_signed,
+)
 from ncd_moduli.exactnum import ExactNonzeroComplex, smith_normal_form, solve_linear
 
 
@@ -321,3 +329,58 @@ def enhanced_node_oracle(s_list, products, L):
         if all((s * theta + prod.arg) % 1 == 0 for s, prod in zip(s_list, products)):
             count += 1
     return count
+
+
+# -- level buildings ------------------------------------------------------------
+
+def reference_build(d, mode: str, bounds) -> LevelBuilding:
+    """The building as the first builder enumerated it.
+
+    Every signed label is its own orbit computation, the attaching partner is
+    a further orbit, and each stratum rescans the whole label list for its +1
+    labels.  Slow, but it shares no bookkeeping with ``building._builder``.
+    """
+    m = max(bounds.values(), default=0)
+    pieces = [PieceRecord(PieceLabel(d.depth0().id, ()), 0, 1, 1)]
+    strata_labels = []
+    pairs = []
+    for s in sorted(d.strata, key=lambda s: (s.depth, s.id)):
+        slot_bounds = [bounds[ref] for ref in s.slots]
+        if s.depth >= 1:
+            seen = set()
+            for lv in itertools.product(*[range(1, b + 1) for b in slot_bounds]):
+                if lv in seen:
+                    continue
+                orb = _orbit(lv, s.monodromy)
+                seen |= orb
+                pieces.append(
+                    PieceRecord(PieceLabel(s.id, min(orb)), s.depth, len(orb), s.normalization_components)
+                )
+        seen_signed = set()
+        for lv in itertools.product(*[range(b + 1) for b in slot_bounds]):
+            for slot in range(s.depth):
+                for sign in (1, -1):
+                    if sign == -1 and lv[slot] == 0:
+                        continue
+                    if (lv, slot, sign) in seen_signed:
+                        continue
+                    orb = _orbit_signed((lv, slot), s.monodromy)
+                    seen_signed |= {(l, sl, sign) for l, sl in orb}
+                    rep_lv, rep_slot = min(orb)
+                    strata_labels.append(DivisorStratumLabel(s.id, rep_lv, rep_slot, sign))
+        for label in [x for x in strata_labels if x.stratum == s.id and x.sign == 1]:
+            if label.levels[label.slot] >= slot_bounds[label.slot]:
+                continue
+            up = list(label.levels)
+            up[label.slot] += 1
+            rep_lv, rep_slot = min(_orbit_signed((tuple(up), label.slot), s.monodromy))
+            pairs.append((label, DivisorStratumLabel(s.id, rep_lv, rep_slot, -1)))
+    return LevelBuilding(
+        divisor=d,
+        mode=mode,
+        levels_by_component=tuple(sorted(bounds.items())),
+        m=m,
+        pieces=tuple(pieces),
+        divisor_strata=tuple(strata_labels),
+        attaching=tuple(pairs),
+    )

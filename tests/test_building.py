@@ -1,18 +1,30 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ncd_moduli import building
 from ncd_moduli.building import (
     DivisorStratumLabel,
     PieceLabel,
     build,
     build_multi,
+    building_to_dict,
     collapse,
     divisor_strata,
     rescaled_disk,
     torus_weight,
 )
-from ncd_moduli.divisor import local_model, self_crossing_curve, simple_crossings
+from ncd_moduli.divisor import (
+    BranchComponent,
+    CombinatorialDivisor,
+    Stratum,
+    local_model,
+    self_crossing_curve,
+    simple_crossings,
+)
+from oracle_helpers import reference_build
 
 
 def ex4dim():
@@ -219,3 +231,69 @@ class TestTorusWeight:
     def test_bad_input(self):
         with pytest.raises(ValueError):
             torus_weight(2, 1, 3)
+
+
+@st.composite
+def one_component_divisors(draw):
+    """Strata of depth 1..k <= 4 on one component, each with one or two random
+    slot permutations as monodromy, so some groups are not transitive."""
+    k = draw(st.integers(1, 4))
+    strata = [Stratum("X", 0, boundary={"s1"})]
+    for depth in range(1, k + 1):
+        gens = draw(st.lists(st.permutations(range(depth)), min_size=1, max_size=2))
+        strata.append(
+            Stratum(
+                f"s{depth}",
+                depth,
+                slots=("c",) * depth,
+                monodromy=gens,
+                boundary={f"s{depth + 1}"} if depth < k else (),
+            )
+        )
+    return CombinatorialDivisor(2 * k, (BranchComponent("c"),), tuple(strata))
+
+
+divisors = st.one_of(
+    st.integers(1, 4).map(local_model),
+    st.sampled_from(
+        [
+            ex4dim(),
+            simple_crossings(6, ["a", "b", "c"], {frozenset("ab"): 2, frozenset("bc"): 1}),
+            self_crossing_curve(),
+        ]
+    ),
+    one_component_divisors(),
+)
+
+
+class TestReferenceBuilder:
+    @given(divisors, st.integers(0, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_build(self, d, m):
+        want = reference_build(d, "uniform", {c: m for c in d.component_ids()})
+        assert building_to_dict(build(d, m)) == building_to_dict(want)
+
+    @given(divisors, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_build_multi(self, d, data):
+        ids = d.component_ids()
+        levels = data.draw(st.lists(st.integers(0, 3), min_size=len(ids), max_size=len(ids)))
+        want = reference_build(d, "multi", dict(zip(ids, levels)))
+        assert building_to_dict(build_multi(d, levels)) == building_to_dict(want)
+
+
+class TestOrbitsOnce:
+    @pytest.mark.parametrize(
+        "d,m,calls", [(local_model(3), 2, 144), (self_crossing_curve(), 3, 36)]
+    )
+    def test_one_signed_orbit_per_plus_label(self, monkeypatch, d, m, calls):
+        counted = []
+        original = building._orbit_signed
+
+        def orbit_signed(*args):
+            counted.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(building, "_orbit_signed", orbit_signed)
+        b = build(d, m)
+        assert len(counted) == calls == sum(1 for x in b.divisor_strata if x.sign == 1)

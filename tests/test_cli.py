@@ -2,6 +2,7 @@ import copy
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -65,6 +66,32 @@ class TestBuilding:
         )
         assert code == 2
         assert "scaling direction" in err
+
+
+class TestNonStringIds:
+    # field -> (where in ex4dim a list replaces a string, the name in the message)
+    CASES = {
+        "component": (("components", 0), "component id"),
+        "stratum": (("strata", 1, "id"), "stratum id"),
+        "slot": (("strata", 1, "slots", 0), "v1: slot reference"),
+        "boundary": (("strata", 0, "boundary", 0), "X: boundary reference"),
+    }
+
+    @pytest.mark.parametrize("field", sorted(CASES))
+    @pytest.mark.parametrize("command", ["strata", "building"])
+    def test_exit_2(self, capsys, tmp_path, command, field):
+        (*parents, key), name = self.CASES[field]
+        obj = json.loads(CATALOG["ex4dim"].text())
+        target = obj
+        for k in parents:
+            target = target[k]
+        target[key] = ["v1"]
+        path = tmp_path / "ids.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        code, out, err = invoke(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: malformed divisor file: {name} must be a string, not list\n"
 
 
 class TestValidate:
@@ -202,6 +229,11 @@ _GLUE_PAYLOAD = {
 }
 
 
+# Only a JSON integer or a string p or p/q is a rational: exponent and
+# decimal notation are refused before any big number is built.
+_NOT_RATIONAL = {"1e1000000": "'1e1000000'", "1.5": "'1.5'", 1.5: "1.5", True: "True"}
+
+
 class TestMalformedCoeff:
     CASES = {
         "primes-list": ({"primes": ["2"]}, "coefficient primes must be an object, not list"),
@@ -210,6 +242,15 @@ class TestMalformedCoeff:
             {"primes": {"2": "1/0"}},
             "coefficient exponent of prime 2 = 1/0 has a zero denominator",
         ),
+        **{
+            f"{where}-{value!r}": (
+                {"arg": value} if where == "arg" else {"primes": {"2": value}},
+                f"coefficient {field} = {shown} is not an integer or a fraction p/q "
+                "of at most 1000 digits each",
+            )
+            for where, field in [("arg", "arg"), ("exponent", "exponent of prime 2")]
+            for value, shown in _NOT_RATIONAL.items()
+        },
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -220,11 +261,14 @@ class TestMalformedCoeff:
         _first_coeff(obj).update(change)
         path = tmp_path / "coeff.json"
         path.write_text(json.dumps(obj), encoding="utf-8")
+        start = time.perf_counter()
         code, out, err = invoke(capsys, command, str(path))
+        elapsed = time.perf_counter() - start
         what = "map-type" if command == "validate" else "gluing"
         assert code == 2
         assert out == ""
         assert err == f"error: malformed {what} file: {message}\n"
+        assert elapsed < 0.05, f"{elapsed:.3f} s"
 
 
 class TestTopLevel:

@@ -224,6 +224,17 @@ class TestCoeffJson:
         with pytest.raises(ValueError, match="3317044064679887385961981"):
             coeff_from_json({"primes": {str(2**89 - 1): "1"}})
 
+    @pytest.mark.parametrize("text,value", [("3/2", Fraction(3, 2)), ("-1", -1), (2, 2)], ids=repr)
+    def test_rationals_load(self, text, value):
+        assert coeff_from_json({"primes": {"2": text}}).mag == ((2, Fraction(value)),)
+        assert coeff_from_json({"arg": text}).arg == Fraction(value) % 1
+
+    def test_rational_digits_bounded(self):
+        assert coeff_from_json({"arg": "1/" + "3" * 1000}).arg == Fraction(1, int("3" * 1000))
+        for text in ("1/" + "3" * 1001, 10**1000):
+            with pytest.raises(ValueError, match="at most 1000 digits"):
+                coeff_from_json({"arg": text})
+
     @pytest.mark.parametrize("obj", ["2", ["2"], None])
     def test_non_object_coefficient_rejected(self, obj):
         with pytest.raises(ValueError, match="a coefficient must be an object"):
