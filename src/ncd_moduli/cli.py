@@ -41,7 +41,7 @@ def _read_text(path: str) -> str:
 def _parse_json(text: str, what: str) -> dict:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer past Python's digit limit
         raise InputError(f"malformed {what}: {e}") from e
     if not isinstance(obj, dict):
         raise InputError(f"malformed {what}: top level must be a JSON object, not {type(obj).__name__}")

@@ -2,10 +2,13 @@
 
 Inputs and results are ``fractions.Fraction`` values; there is no floating
 point anywhere.  Inside, ``rref`` and the phase-1 simplex share one
-integer-preserving Gauss-Jordan pivot step (``_pivot``, after Bareiss 1968):
-each row is scaled once to integers and then held as integer numerators over
-a positive denominator, and every update divides exactly.  No Fraction is
-built until the result is.
+integer-preserving Gauss-Jordan pivot step (``_pivot``, after Bareiss 1968)
+on sparse rows: each row is scaled once to integers and then held as a
+``{column: nonzero integer}`` map over a positive denominator, and every
+update divides exactly.  A pivot touches only the rows that hold its column,
+and each of those only over its own and the pivot row's columns, so the cost
+follows the nonzeros rather than the matrix's shape.  No Fraction is built
+until the result is.
 
 Scaling rows by positive factors changes neither the reduced row echelon
 form, which is unique, nor any choice of the simplex, whose entering and
@@ -21,17 +24,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count
 from math import lcm, prod
 from typing import Optional, Sequence
 
 Row = tuple[Fraction, ...]
+SparseRow = dict[int, int]
 
-
-def _coerce_rows(rows) -> list[list[Fraction]]:
-    out = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in rows]
-    if out and any(len(r) != len(out[0]) for r in out):
-        raise ValueError("matrix rows must have equal length")
-    return out
+_EXACT = {int, Fraction}
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -41,8 +42,10 @@ class RationalMatrix:
     entries: tuple[Row, ...]
 
     def __post_init__(self):
-        rows = _coerce_rows(self.entries)
-        object.__setattr__(self, "entries", tuple(tuple(r) for r in rows))
+        rows = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in r) for r in self.entries)
+        if rows and any(len(r) != len(rows[0]) for r in rows):
+            raise ValueError("matrix rows must have equal length")
+        object.__setattr__(self, "entries", rows)
 
     @classmethod
     def from_rows(cls, rows) -> "RationalMatrix":
@@ -57,73 +60,89 @@ class RationalMatrix:
         return len(self.entries[0]) if self.entries else 0
 
 
-def _rows_of(A) -> list[list[Fraction]]:
-    if isinstance(A, RationalMatrix):
-        return [list(r) for r in A.entries]
-    return _coerce_rows(A)
+def _integer_rows(rows) -> tuple[list[SparseRow], list[int], int]:
+    """Each row times the lcm of its denominators, as a sparse map; those
+    lcms; and the column count.
 
-
-def _integer_rows(rows: list[list[Fraction]]) -> tuple[list[list[int]], list[int]]:
-    """Each row times the lcm of its denominators, and that lcm.
-
-    Row i of the input is ``ints[i] / scales[i]`` exactly.
+    Row i of the input is ``ints[i] / scales[i]`` exactly.  Ints and
+    Fractions are read as they are; any other entry goes through
+    ``Fraction()``.
     """
-    ints, scales = [], []
+    if isinstance(rows, RationalMatrix):
+        rows = rows.entries
+    ints, scales, ncols = [], [], None
     for row in rows:
-        scale = lcm(*[x.denominator for x in row])
-        if scale == 1:
-            ints.append([x.numerator for x in row])
-        else:
-            ints.append([x.numerator * (scale // x.denominator) for x in row])
+        if not _EXACT.issuperset(map(type, row)):
+            row = [Fraction(x) for x in row]
+        if ncols is None:
+            ncols = len(row)
+        elif len(row) != ncols:
+            raise ValueError("matrix rows must have equal length")
+        nonzero = dict(zip(compress(count(), row), filter(None, row)))
+        scale = lcm(*[x.denominator for x in nonzero.values()])
+        ints.append({j: x.numerator * (scale // x.denominator) for j, x in nonzero.items()})
         scales.append(scale)
-    return ints, scales
+    return ints, scales, ncols or 0
 
 
-def _pivot(T: list[list[int]], den: list[int], r: int, c: int, d: int) -> int:
+def _pivot(T: list[SparseRow], den: list[int], r: int, c: int, d: int) -> int:
     """One integer-preserving Gauss-Jordan step on entry (r, c); returns the new d.
 
-    Row i stands for ``T[i] / den[i]`` with ``den[i] > 0``.  The rows have
-    the common denominator d > 0, the previous pivot: every ``T[i] * d /
-    den[i]`` is an integer.  Only the pivot row is brought to d; its entry p
-    in column c becomes the new common denominator.  A row whose entry f in
-    column c is zero is left as it is.  Any other row is updated entrywise to
-    ``(a*p - f*b) // den[i]``, with b the pivot row's entry, and that division
-    is exact.  A negative pivot is made positive by negating its row, which
-    changes no reduced row.
+    Row i stands for ``T[i] / den[i]`` with ``den[i] > 0``; ``T[i]`` maps
+    each column where the row is nonzero to its integer numerator, and holds
+    no zeros.  The rows have the common denominator d > 0, the previous
+    pivot: every ``T[i] * d / den[i]`` is an integer.  Only the pivot row is
+    brought to d; its entry p in column c becomes the new common denominator.
+    A row that does not hold column c is left as it is.  Any other row, with
+    entry f in column c, is updated to ``(a*p - f*b) // den[i]`` over the
+    union of its columns and the pivot row's, with a and b their entries
+    there; the division is exact, and the entries that become zero (column c
+    among them) are dropped.  A negative pivot is made positive by negating
+    its row, which changes no reduced row.
     """
     row = T[r]
     if den[r] != d:
         q = den[r]
-        row = [x * d // q for x in row]
+        row = {k: x * d // q for k, x in row.items()}
     p = row[c]
     if p < 0:
-        row = [-x for x in row]
+        row = {k: -x for k, x in row.items()}
         p = -p
     T[r] = row
     den[r] = p
     for i, other in enumerate(T):
+        if c not in other or i == r:
+            continue
         f = other[c]
-        if f and i != r:
-            q = den[i]
-            T[i] = [(a * p - f * b) // q for a, b in zip(other, row)]
-            den[i] = p
+        q = den[i]
+        # a column the pivot row lacks keeps a nonzero a * p // q
+        new = {k: a * p // q for k, a in other.items() if k not in row}
+        for k, b in row.items():
+            x = (other.get(k, 0) * p - f * b) // q
+            if x:
+                new[k] = x
+        T[i] = new
+        den[i] = p
     return p
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    M = _coerce_rows(rows)
-    if not M:
-        return [], []
+def _rref(rows) -> tuple[list[SparseRow], list[int], list[int], int]:
+    """The sparse reduced row echelon form of rows: (rows, denominators,
+    pivot columns, column count).
+
+    Pivot row i holds ``den[i]`` in column ``pivots[i]``; the rows below the
+    last pivot row are empty.
+    """
     # scaling a row leaves its reduced form alone, so start from integer rows
-    T, _ = _integer_rows(M)
+    T, _, ncols = _integer_rows(rows)
     den = [1] * len(T)
     d = 1
-    ncols = len(T[0])
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(T)) if T[i][c]), None)
+        if r == len(T):
+            break
+        pivot = next((i for i in range(r, len(T)) if c in T[i]), None)
         if pivot is None:
             continue
         T[r], T[pivot] = T[pivot], T[r]
@@ -131,18 +150,23 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
         d = _pivot(T, den, r, c, d)
         pivots.append(c)
         r += 1
-        if r == len(T):
-            break
-    out = [
-        [Fraction(x) for x in row] if q == 1 else [Fraction(x, q) for x in row]
-        for row, q in zip(T, den)
-    ]
+    return T, den, pivots, ncols
+
+
+def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (rows, pivot column indices)."""
+    T, den, pivots, ncols = _rref(rows)
+    out = []
+    for row, q in zip(T, den):
+        dense = [_ZERO] * ncols
+        for k, x in row.items():
+            dense[k] = Fraction(x, q)
+        out.append(dense)
     return out, pivots
 
 
 def rank(A) -> int:
-    _, pivots = rref(_rows_of(A))
-    return len(pivots)
+    return len(_rref(A)[2])
 
 
 def solve_linear(A, b) -> Optional[tuple[Fraction, ...]]:
@@ -151,89 +175,89 @@ def solve_linear(A, b) -> Optional[tuple[Fraction, ...]]:
     Free variables are set to zero, so the result is the canonical particular
     solution relative to the RREF pivot structure.
     """
-    M = _rows_of(A)
-    bvec = [Fraction(x) for x in b]
+    M = A.entries if isinstance(A, RationalMatrix) else list(A)
+    bvec = list(b)
     if len(M) != len(bvec):
         raise ValueError("right-hand side length mismatch")
     if not M:
         return ()
     n = len(M[0])
-    aug, pivots = rref([row + [rhs] for row, rhs in zip(M, bvec)])
+    T, den, pivots, _ = _rref([(*row, rhs) for row, rhs in zip(M, bvec)])
     if n in pivots:
         return None
-    x = [Fraction(0)] * n
+    x = [_ZERO] * n
     for i, c in enumerate(pivots):
-        x[c] = aug[i][n]
+        x[c] = Fraction(T[i].get(n, 0), den[i])
     return tuple(x)
 
 
 def rational_nullspace(A) -> tuple[tuple[Fraction, ...], ...]:
     """Basis of {v : A v = 0}; size equals cols - rank(A)."""
-    M = _rows_of(A)
-    if not M:
+    T, den, pivots, n = _rref(A)
+    if not T:
         return ()
-    n = len(M[0])
-    R, pivots = rref(M)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * n
+    # one vector per free column f: 1 at f and -R[i][f] at pivot column c_i
+    basis = {f: [_ZERO] * n for f in sorted(set(range(n)).difference(pivots))}
+    for f, v in basis.items():
         v[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            v[c] = -R[i][f]
-        basis.append(tuple(v))
-    return tuple(basis)
+    for i, c in enumerate(pivots):
+        for f, x in T[i].items():
+            if f != c:
+                basis[f][c] = Fraction(-x, den[i])
+    return tuple(tuple(v) for v in basis.values())
 
 
-def _phase_one_feasible(T: list[list[int]], den: list[int]) -> Optional[list[Fraction]]:
+def _phase_one_feasible(T: list[SparseRow], den: list[int], n: int) -> Optional[list[Fraction]]:
     """Exact phase-1 simplex: find x >= 0 with A x = b, else None.
 
-    Row i of the tableau ``[A | b]`` is ``T[i] / den[i]``, with integer
-    entries, ``den[i] > 0`` and ``b >= 0``; T and den are pivoted in place.
-    Artificial variable i starts basic in row i.  Artificial columns never
-    enter, so they are not stored.  Bland's rule on both the entering and
-    leaving choices rules out cycling, so termination is guaranteed in exact
-    arithmetic.
+    Row i of the tableau ``[A | b]`` is ``T[i] / den[i]``, a sparse integer
+    row over columns 0 .. n (b is column n), with ``den[i] > 0`` and
+    ``b >= 0``; T and den are pivoted in place.  Artificial variable i starts
+    basic in row i.  Artificial columns never enter, so they are not stored.
+    Bland's rule on both the entering and leaving choices rules out cycling,
+    so termination is guaranteed in exact arithmetic.
     """
     m = len(T)
-    n = len(T[0]) - 1
     # Over the artificial basis the rows share the denominator prod(den),
     # the determinant of that basis in row-scaled integer form.
     d = prod(den)
     # Objective row: the sum of the rows whose basic variable is artificial.
     # Column j improves the phase-1 objective when its entry is positive; the
     # entry of a basic column is 0.  It is pivoted like any other row.
-    scaled = [[x * (d // q) for x in row] for row, q in zip(T, den)]
-    T.append([sum(col) for col in zip(*scaled)])
+    objective: SparseRow = {}
+    for row, q in zip(T, den):
+        s = d // q
+        for k, x in row.items():
+            objective[k] = objective.get(k, 0) + x * s
+    T.append({k: x for k, x in objective.items() if x})
     den.append(d)
     basis = list(range(n, n + m))
     while True:
-        objective = T[m]
-        entering = next((j for j in range(n) if objective[j] > 0), None)
+        entering = min((j for j, x in T[m].items() if x > 0 and j < n), default=None)
         if entering is None:
             break
         leave = None
         for i in range(m):
-            a = T[i][entering]
+            a = T[i].get(entering, 0)
             if a > 0:
                 if leave is None:
                     leave = i
                     continue
-                # T[i][-1] / a against the best ratio, cross-multiplied
-                lhs = T[i][-1] * T[leave][entering]
-                rhs = T[leave][-1] * a
+                # T[i][n] / a against the best ratio, cross-multiplied
+                lhs = T[i].get(n, 0) * T[leave][entering]
+                rhs = T[leave].get(n, 0) * a
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise ArithmeticError("phase-1 objective unbounded; inconsistent tableau")
         d = _pivot(T, den, leave, entering, d)
         basis[leave] = entering
-    if T[m][-1] != 0:
+    if n in T[m]:
         return None
-    x = [Fraction(0)] * n
+    x = [_ZERO] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = Fraction(T[i][-1], den[i])
+            x[basis[i]] = Fraction(T[i].get(n, 0), den[i])
     return x
 
 
@@ -244,20 +268,22 @@ def strict_positive_solution(A) -> Optional[tuple[Fraction, ...]]:
     and v = w + 1; absence is a certified answer, not an error.  A matrix
     with no columns has the empty solution ``()``.
     """
-    M = _rows_of(A)
-    if not M or not M[0]:
+    A_int, den, n = _integer_rows(A)
+    if not n:
         return ()
-    A_int, den = _integer_rows(M)
     T = []
     for row in A_int:
-        rhs = -sum(row)
-        T.append([-x for x in row] + [-rhs] if rhs < 0 else row + [rhs])
-    w = _phase_one_feasible(T, den)
+        rhs = -sum(row.values())
+        t = {k: -x for k, x in row.items()} if rhs < 0 else dict(row)
+        if rhs:
+            t[n] = abs(rhs)
+        T.append(t)
+    w = _phase_one_feasible(T, den, n)
     if w is None:
         return None
     v = tuple(x + 1 for x in w)
     scale = lcm(*(x.denominator for x in v))
     v_int = [x.numerator * (scale // x.denominator) for x in v]
-    if any(sum(a * x for a, x in zip(row, v_int)) for row in A_int):
+    if any(sum(a * v_int[k] for k, a in row.items()) for row in A_int):
         raise AssertionError("simplex returned a non-solution")
     return v

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .lattice import IntegerMatrix, smith_normal_form
-from .linalg import rational_nullspace, solve_linear
+from .linalg import solve_linear
 from .values import ExactNonzeroComplex
 
 
@@ -122,7 +122,6 @@ def _solve_once(rows: list[list[int]], values: Sequence[ExactNonzeroComplex]):
         if sol is None:
             return None
         mag_parts[p] = sol
-    kernel_rank = len(rational_nullspace(rows)) if m else n
     # argument: D psi = U c over Q/Z with U M V = D
     args = [v.arg for v in values]
     if m == 0:
@@ -154,7 +153,8 @@ def _solve_once(rows: list[list[int]], values: Sequence[ExactNonzeroComplex]):
         tuple((p, mag_parts[p][j]) for p in primes if mag_parts[p][j] != 0) for j in range(n)
     )
     branches = TorsionBranches(mags, tuple(divisors), offsets, steps, den)
-    return PowerSystemSolution(True, None, len(branches), kernel_rank, branches)
+    # M's kernel is spanned by V's columns r .. n-1, so its rank is n - r
+    return PowerSystemSolution(True, None, len(branches), n - r, branches)
 
 
 def solve_power_system(M, values: Sequence[ExactNonzeroComplex]) -> PowerSystemSolution:

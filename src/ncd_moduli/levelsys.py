@@ -56,14 +56,14 @@ class LevelSystem:
     equations: tuple[LevelEquation, ...]
     directions: tuple[tuple[str, str], ...] = ()  # direction -> scaling component
 
-    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+    def rows(self) -> tuple[tuple[int, ...], ...]:
         """Integer coefficient rows over the unknowns alphas + betas."""
         a_index = {a: i for i, a in enumerate(self.alphas)}
         beta_column = self._beta_columns()
         na = len(self.alphas)
         out = []
         for eq in self.equations:
-            row = [Fraction(0)] * (na + len(self.betas))
+            row = [0] * (na + len(self.betas))
             for nid in eq.nodes:
                 row[a_index[nid]] += eq.multiplicity
             row[na + beta_column(eq.direction, eq.level)] -= 1
@@ -135,7 +135,7 @@ def build_system(mt: MapType) -> LevelSystem:
             for l in range(1, bound + 1)
         ]
     equations: list[LevelEquation] = []
-    alphas: list[str] = []
+    alphas: set[str] = set()
     for walk in mt.walks:
         f = walk.fiber
         mults = dict(walk.multiplicities)
@@ -153,9 +153,7 @@ def build_system(mt: MapType) -> LevelSystem:
                     multiplicity=mults[step.direction],
                 )
             )
-            for nid in step.nodes:
-                if nid not in alphas:
-                    alphas.append(nid)
+            alphas.update(step.nodes)
     return LevelSystem(
         tuple(sorted(alphas)),
         tuple(betas),

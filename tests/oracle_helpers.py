@@ -103,6 +103,38 @@ def reference_rref(rows):
     return M, pivots
 
 
+def reference_nullspace(rows):
+    """Basis of {v : A v = 0} read off ``reference_rref``: one vector per
+    free column f, with 1 at f and -R[i][f] at pivot column i."""
+    R, pivots = reference_rref(rows)
+    if not R:
+        return ()
+    n = len(R[0])
+    basis = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for i, c in enumerate(pivots):
+            v[c] = -R[i][f]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def reference_solve_linear(rows, b):
+    """The solution of A x = b with every free variable 0, read off the
+    ``reference_rref`` of [A | b], or None if inconsistent."""
+    n = len(rows[0])
+    R, pivots = reference_rref([list(row) + [rhs] for row, rhs in zip(rows, b)])
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for i, c in enumerate(pivots):
+        x[c] = R[i][n]
+    return tuple(x)
+
+
 def reference_phase_one_feasible(A, b):
     """Phase-1 simplex with Bland's rule on a Fraction tableau: x >= 0 with
     A x = b, else None."""

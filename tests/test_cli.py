@@ -285,6 +285,34 @@ class TestTopLevel:
         assert err.startswith("error: malformed") and "JSON object" in err
 
 
+class TestHugeInteger:
+    """A JSON integer past Python's 4,300-digit int/str limit is malformed input."""
+
+    @pytest.mark.parametrize(
+        "command, name, path, what",
+        [
+            ("strata", "ex0-n4", ("dimX",), "divisor"),
+            ("validate", "neck2", ("building", "m"), "map-type"),
+        ],
+        ids=["strata-dimX", "validate-building-m"],
+    )
+    def test_exit_2(self, capsys, tmp_path, command, name, path, what):
+        obj = json.loads(CATALOG[name].text())
+        *parents, field = path
+        holder = obj
+        for key in parents:
+            holder = holder[key]
+        assert isinstance(holder[field], int)
+        holder[field] = "HUGE"
+        target = tmp_path / "huge.json"
+        target.write_text(json.dumps(obj).replace('"HUGE"', "1" + "0" * 4999), encoding="utf-8")
+        code, out, err = invoke(capsys, command, str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: malformed {what} file: ")
+        assert "Traceback" not in err
+
+
 class TestGlue:
     def test_fourth_roots(self, capsys, tmp_path):
         payload = {

@@ -15,6 +15,7 @@ from ncd_moduli.exactnum import (
     rational_nullspace,
     rref,
     smith_normal_form,
+    solve_linear,
     solve_power_system,
     strict_positive_solution,
     verify_solution,
@@ -26,8 +27,10 @@ from oracle_helpers import (
     power_system_oracle_consistent,
     random_value,
     reference_factor,
+    reference_nullspace,
     reference_power_branches,
     reference_rref,
+    reference_solve_linear,
     reference_strict_positive_solution,
 )
 from ncd_moduli.exactnum.values import _factor, _is_prime
@@ -61,6 +64,35 @@ def rational_matrices(draw, max_rows=6, max_cols=8):
     for j in draw(st.sets(st.integers(0, n - 1), max_size=2)):
         for row in rows:
             row[j] = Fraction(0)
+    if draw(st.booleans()):
+        for row in rows:
+            row[-1] -= sum(row)
+    return rows
+
+
+@st.composite
+def block_angular_matrices(draw):
+    """The shape of a level system: 1-6 blocks, each of 1-4 rows over 1-4
+    columns of its own, all sharing 1-2 trailing columns; entries in [-3, 3],
+    some of them Fractions, and some rows zero.  Half of them have the
+    all-ones vector in their kernel, set through the last shared column."""
+    shared = draw(st.integers(1, 2))
+    blocks = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=6))
+    n = sum(width for _, width in blocks) + shared
+    entry = st.one_of(
+        st.integers(-3, 3),
+        st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    )
+    rows = []
+    start = 0
+    for height, width in blocks:
+        for _ in range(height):
+            row = [0] * n
+            if draw(st.integers(0, 5)):
+                for j in [*range(start, start + width), *range(n - shared, n)]:
+                    row[j] = draw(entry)
+            rows.append(row)
+        start += width
     if draw(st.booleans()):
         for row in rows:
             row[-1] -= sum(row)
@@ -293,6 +325,22 @@ class TestLinalg:
         assert rref(rows) == reference_rref(rows)
         assert strict_positive_solution(rows) == reference_strict_positive_solution(rows)
 
+    @given(block_angular_matrices(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_block_angular_matches_fraction_reference(self, rows, data):
+        reduced = reference_rref(rows)
+        assert rref(rows) == reduced
+        assert rank(rows) == len(reduced[1])
+        assert rational_nullspace(rows) == reference_nullspace(rows)
+        n = len(rows[0])
+        if data.draw(st.booleans(), label="consistent"):
+            x = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n), label="x")
+            b = [sum(a * v for a, v in zip(row, x)) for row in rows]
+        else:
+            b = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)), label="b")
+        assert solve_linear(rows, b) == reference_solve_linear(rows, b)
+        assert strict_positive_solution(rows) == reference_strict_positive_solution(rows)
+
     def test_rational_matrix_shape(self):
         m = RationalMatrix.from_rows([[1, 2], [3, 4]])
         assert (m.rows, m.cols) == (2, 2)
@@ -412,6 +460,7 @@ class TestPowerSystems:
         assert sol.consistent == (ref is not None)
         if ref is None:
             return
+        assert sol.kernel_rank == len(reference_nullspace(M))
         listed = list(sol.solutions)
         assert tuple(listed) == ref
         assert len(sol.solutions) == sol.branch_count == len(ref)

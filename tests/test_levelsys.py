@@ -128,6 +128,17 @@ class TestScaling:
         assert dim == 1
         assert elapsed < 3.0, f"feasible_positive + torus_dim took {elapsed:.2f} s"
 
+    def test_neck2_copies_160_feasible_fast(self):
+        # the level matrix is block-angular and sparse: 640 x 482 with 1,440 nonzeros
+        sys = build_system(disjoint_copies(neck2(), 160))
+        start = time.perf_counter()
+        witness = feasible_positive(sys)
+        dim = torus_dim(sys)
+        elapsed = time.perf_counter() - start
+        assert witness is not None and all(v > 0 for v in witness.values())
+        assert dim == 1
+        assert elapsed < 1.5, f"feasible_positive + torus_dim took {elapsed:.2f} s"
+
     def test_neck2_copies_analysis_linear(self):
         mt = disjoint_copies(neck2(), 160)
         start = time.perf_counter()
