@@ -7,12 +7,24 @@ and enumerates the torsion branches of multiplicative power systems.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 
-def _coerce_int_rows(rows) -> list[list[int]]:
-    out = [[int(x) for x in row] for row in rows]
-    if out and any(len(r) != len(out[0]) for r in out):
+def _int_entry(x) -> int:
+    if type(x) is int:
+        return x
+    if isinstance(x, numbers.Rational) and x.denominator == 1:
+        return int(x)
+    raise ValueError(f"matrix entry {x!r} is not an integer")
+
+
+def _int_rows(A) -> list[list[int]]:
+    """Fresh lists of the rows of A; an entry that is not an integer raises ``ValueError``."""
+    if isinstance(A, IntegerMatrix):
+        return [list(r) for r in A.entries]
+    out = [[_int_entry(x) for x in row] for row in A]
+    if len({len(r) for r in out}) > 1:
         raise ValueError("matrix rows must have equal length")
     return out
 
@@ -22,16 +34,22 @@ class IntegerMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = _coerce_int_rows(self.entries)
-        object.__setattr__(self, "entries", tuple(tuple(r) for r in rows))
+        object.__setattr__(self, "entries", tuple(map(tuple, _int_rows(self.entries))))
 
     @classmethod
     def from_rows(cls, rows) -> "IntegerMatrix":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
+        return cls(rows)
+
+    @classmethod
+    def _of(cls, rows: list[list[int]]) -> "IntegerMatrix":
+        """Wrap rows of ints of equal length without checking them again."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "entries", tuple(map(tuple, rows)))
+        return matrix
 
     @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
-        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+        return cls._of([[int(i == j) for j in range(n)] for i in range(n)])
 
     @property
     def rows(self) -> int:
@@ -42,16 +60,11 @@ class IntegerMatrix:
         return len(self.entries[0]) if self.entries else 0
 
 
-def _int_rows(A) -> list[list[int]]:
-    if isinstance(A, IntegerMatrix):
-        return [list(r) for r in A.entries]
-    return _coerce_int_rows(A)
-
-
 def smith_normal_form(A) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
     """Return (U, D, V) with U*A*V = D, U and V unimodular.
 
     D is diagonal with nonnegative entries d_1 | d_2 | ... followed by zeros.
+    An entry of A that is not an integer raises ``ValueError``.
     """
     D = _int_rows(A)
     m = len(D)
@@ -136,11 +149,7 @@ def smith_normal_form(A) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
     for i in range(min(m, n)):
         if D[i][i] < 0:
             negate_row(i)
-    return (
-        IntegerMatrix.from_rows(U),
-        IntegerMatrix.from_rows(D),
-        IntegerMatrix.from_rows(V),
-    )
+    return IntegerMatrix._of(U), IntegerMatrix._of(D), IntegerMatrix._of(V)
 
 
 def elementary_divisors(A) -> tuple[int, ...]:

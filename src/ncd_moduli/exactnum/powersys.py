@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .lattice import IntegerMatrix, smith_normal_form
+from .lattice import _int_rows, smith_normal_form
 from .linalg import solve_linear
 from .values import ExactNonzeroComplex
 
@@ -30,6 +30,9 @@ class TorsionBranches(Sequence):
     fastest (the order of ``itertools.product``).  Unknown i of that branch
     has the magnitude ``mags[i]``, which no branch changes, and the argument
     ``((offsets[i] + sum_k j_k * steps[i][k]) mod den) / den`` turns.
+    The common denominator is den = L * lcm(d_0 .. d_{r-1}), with L the lcm
+    of the denominators of the right-hand sides' arguments, so the solve
+    works in integers and a ``Fraction`` is built only when a branch is read.
     """
 
     __slots__ = ("_data", "_len")
@@ -97,12 +100,6 @@ class PowerSystemSolution:
         return self.consistent
 
 
-def _int_rows(M) -> list[list[int]]:
-    if isinstance(M, IntegerMatrix):
-        return [list(r) for r in M.entries]
-    return [[int(x) for x in row] for row in M]
-
-
 def _solve_once(rows: list[list[int]], values: Sequence[ExactNonzeroComplex]):
     """Solve the full system, or return None if it is inconsistent.
 
@@ -115,40 +112,38 @@ def _solve_once(rows: list[list[int]], values: Sequence[ExactNonzeroComplex]):
     n = len(rows[0]) if m else 0
     # magnitude: one rational linear solve per prime in the combined support
     primes = sorted({p for v in values for p, _ in v.mag})
+    mag_maps = [dict(v.mag) for v in values] if primes else []
     mag_parts: dict[int, tuple[Fraction, ...]] = {}
     for p in primes:
-        rhs = [v.mag_dict.get(p, Fraction(0)) for v in values]
-        sol = solve_linear(rows, rhs)
+        sol = solve_linear(rows, [mag.get(p, 0) for mag in mag_maps])
         if sol is None:
             return None
         mag_parts[p] = sol
-    # argument: D psi = U c over Q/Z with U M V = D
-    args = [v.arg for v in values]
+    # argument, in integers: with L the lcm of the argument denominators,
+    # arg_j = A_j / L, and D psi = U arg over Q/Z with U M V = D reads
+    # d_k psi_k = t_k / L with t_k = sum_j U_kj A_j mod L
+    L = math.lcm(*[v.arg.denominator for v in values])
+    A = [v.arg.numerator * (L // v.arg.denominator) for v in values]
     if m == 0:
-        t: list[Fraction] = []
         divisors: list[int] = []
-        V = IntegerMatrix.identity(n)
+        t: list[int] = []
+        V = [[int(i == j) for j in range(n)] for i in range(n)]
     else:
         U, D, V = smith_normal_form(rows)
-        t = []
-        for i in range(m):
-            ti = sum(Fraction(U.entries[i][j]) * args[j] for j in range(m)) % 1
-            t.append(ti)
+        V = V.entries
+        t = [sum(map(operator.mul, u, A)) % L for u in U.entries]
         divisors = [D.entries[i][i] for i in range(min(m, n))]
-        for i in range(m):
-            d = divisors[i] if i < len(divisors) else 0
-            if d == 0 and t[i] != 0:
-                return None
+        divisors += [0] * (m - len(divisors))
+        if any(ti and not d for ti, d in zip(t, divisors)):
+            return None
         divisors = [d for d in divisors if d != 0]
-    # psi_k = (t_k + j_k) / d_k = (base_k + j_k * den / d_k) / den, and
-    # theta_i = sum_k V_ik psi_k mod 1; psi_k = 0 for k >= r.
+    # psi_k = (t_k + j_k L) / (L d_k) = (base_k + j_k * den / d_k) / den with
+    # den = L * lcm(d), and theta_i = sum_k V_ik psi_k mod 1; psi_k = 0 for k >= r.
     r = len(divisors)
-    den = math.lcm(*(t[k].denominator * divisors[k] for k in range(r)))
-    base = [t[k].numerator * (den // (t[k].denominator * divisors[k])) for k in range(r)]
-    offsets = tuple(sum(V.entries[i][k] * base[k] for k in range(r)) % den for i in range(n))
-    steps = tuple(
-        tuple(V.entries[i][k] * (den // divisors[k]) % den for k in range(r)) for i in range(n)
-    )
+    den = L * math.lcm(*divisors)
+    base = [t[k] * (den // (L * divisors[k])) for k in range(r)]
+    offsets = tuple(sum(V[i][k] * base[k] for k in range(r)) % den for i in range(n))
+    steps = tuple(tuple(V[i][k] * (den // divisors[k]) % den for k in range(r)) for i in range(n))
     mags = tuple(
         tuple((p, mag_parts[p][j]) for p in primes if mag_parts[p][j] != 0) for j in range(n)
     )
@@ -182,8 +177,18 @@ def solve_power_system(M, values: Sequence[ExactNonzeroComplex]) -> PowerSystemS
 
 
 def verify_solution(M, values, mu: Sequence[ExactNonzeroComplex]) -> bool:
-    """Check a candidate solution by direct substitution."""
+    """Check a candidate solution by direct substitution.
+
+    Raises ``ValueError`` unless there is one value per row of M and one
+    unknown per column.
+    """
     rows = _int_rows(M)
+    n = len(rows[0]) if rows else 0
+    if len(values) != len(rows) or len(mu) != n:
+        raise ValueError(
+            f"a {len(rows)} x {n} system needs {len(rows)} values and {n} unknowns, "
+            f"got {len(values)} and {len(mu)}"
+        )
     for row, v in zip(rows, values):
         acc = ExactNonzeroComplex.one()
         for e, x in zip(row, mu):

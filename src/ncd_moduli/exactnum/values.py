@@ -8,6 +8,13 @@ turns in [0, 1) giving the argument.  The represented number is
 
 which is never 0 or infinity.  The group is divisible, so rational powers and
 n-th roots stay inside it, and equality is exact structural equality.
+
+Every value is kept in one normal form: ``mag`` sorted by prime with distinct
+primes and nonzero ``Fraction`` exponents, ``arg`` a ``Fraction`` in [0, 1).
+The public constructor establishes it for outside data (``from_parts``,
+``coeff_from_json``).  The group operations rely on it instead: they combine
+two normal forms into a third and build the result with ``_normalised``,
+without sorting, merging or reducing modulo 1 again.
 """
 
 from __future__ import annotations
@@ -71,6 +78,22 @@ def _norm_mag(items: Iterable[tuple[int, Fraction]]) -> tuple[tuple[int, Fractio
     return tuple(sorted((p, e) for p, e in acc.items() if e != 0))
 
 
+def _add_mag(a, b) -> tuple[tuple[int, Fraction], ...]:
+    """The normal-form magnitude of the product of two normal-form magnitudes."""
+    if not b:
+        return a
+    if not a:
+        return b
+    acc = dict(a)
+    for p, e in b:
+        e = acc[p] + e if p in acc else e
+        if e:
+            acc[p] = e
+        else:
+            del acc[p]
+    return tuple(sorted(acc.items()))
+
+
 @dataclass(frozen=True)
 class ExactNonzeroComplex:
     """A nonzero complex value with exact multiplicative data."""
@@ -111,7 +134,8 @@ class ExactNonzeroComplex:
     def _normalised(cls, mag: tuple[tuple[int, Fraction], ...], arg: Fraction) -> "ExactNonzeroComplex":
         """Build a value from data already in normal form, without ``_norm_mag``.
 
-        The caller guarantees the invariant ``__post_init__`` would establish:
+        The group operations and the torsion branches build every result
+        here.  The caller guarantees the invariant ``__post_init__`` would establish:
         ``mag`` is a tuple of (prime, exponent) pairs sorted by prime, with
         distinct primes and nonzero ``Fraction`` exponents, and ``arg`` is a
         ``Fraction`` in [0, 1).  Data that break it break equality and hashing.
@@ -142,10 +166,17 @@ class ExactNonzeroComplex:
     def __mul__(self, other: "ExactNonzeroComplex") -> "ExactNonzeroComplex":
         if not isinstance(other, ExactNonzeroComplex):
             return NotImplemented
-        return ExactNonzeroComplex(self.mag + other.mag, self.arg + other.arg)
+        arg = self.arg or other.arg
+        if self.arg and other.arg:
+            arg = self.arg + other.arg
+            if arg >= 1:
+                arg -= 1
+        return ExactNonzeroComplex._normalised(_add_mag(self.mag, other.mag), arg)
 
     def inverse(self) -> "ExactNonzeroComplex":
-        return ExactNonzeroComplex(tuple((p, -e) for p, e in self.mag), -self.arg)
+        return ExactNonzeroComplex._normalised(
+            tuple([(p, -e) for p, e in self.mag]), 1 - self.arg if self.arg else self.arg
+        )
 
     def __truediv__(self, other: "ExactNonzeroComplex") -> "ExactNonzeroComplex":
         return self * other.inverse()
@@ -156,15 +187,20 @@ class ExactNonzeroComplex:
         All n-th roots of a value are recovered with :meth:`roots`, not here.
         """
         q = as_rational(q)
-        return ExactNonzeroComplex(tuple((p, e * q) for p, e in self.mag), self.arg * q)
+        if not q:
+            return ONE
+        return ExactNonzeroComplex._normalised(
+            tuple([(p, e * q) for p, e in self.mag]), self.arg * q % 1
+        )
 
     def roots(self, n: int) -> frozenset["ExactNonzeroComplex"]:
         """All n-th roots; exactly n pairwise distinct values."""
         if n < 1:
             raise ValueError("root order must be >= 1")
-        mag = tuple((p, e / n) for p, e in self.mag)
+        mag = tuple([(p, e / n) for p, e in self.mag])
+        # arg < 1 and j <= n - 1, so (arg + j) / n stays in [0, 1)
         return frozenset(
-            ExactNonzeroComplex(mag, (self.arg + j) / n) for j in range(n)
+            ExactNonzeroComplex._normalised(mag, (self.arg + j) / n) for j in range(n)
         )
 
     # -- display only (never used in computations) ---------------------------
@@ -248,6 +284,13 @@ def _json_rational(value, field: str) -> Fraction:
         f"{field} = {reprlib.repr(value)} is not an integer or a fraction p/q "
         f"of at most {_RATIONAL_DIGITS} digits each"
     )
+
+
+def _json_int(value, field: str) -> int:
+    """A JSON integer that is not a bool; anything else raises ``ValueError`` naming ``field``."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{field} = {reprlib.repr(value)} is not an integer")
 
 
 def coeff_from_json(obj: Mapping) -> ExactNonzeroComplex:

@@ -17,6 +17,7 @@ independent rescaling parameters, i.e. the stratum's complex codimension.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -31,6 +32,7 @@ from .exactnum import (
     solve_power_system,
     strict_positive_solution,
 )
+from .exactnum.values import _json_int
 from .maptype import MapType, check_broken_cylinders, check_naive, validate_structure
 
 BetaKey = Union[int, tuple[str, int]]
@@ -429,20 +431,22 @@ def gluing_to_dict(gp: GluingProblem) -> dict:
     }
 
 
+def _direction_from_dict(d: Mapping, nid: str) -> GluingDirection:
+    where = f"{nid}: {d['direction']}"
+    level_range = d["range"]
+    if not isinstance(level_range, list) or len(level_range) != 2:
+        raise ValueError(f"{where} range = {reprlib.repr(level_range)} is not a list of two integers")
+    return GluingDirection(
+        d["direction"],
+        _json_int(d["s"], f"{where} s"),
+        coeff_from_json(d["product"]),
+        tuple(_json_int(x, f"{where} range") for x in level_range),
+    )
+
+
 def gluing_from_dict(obj: Mapping) -> GluingProblem:
     nodes = tuple(
-        GluingNode(
-            n["id"],
-            tuple(
-                GluingDirection(
-                    d["direction"],
-                    int(d["s"]),
-                    coeff_from_json(d["product"]),
-                    (int(d["range"][0]), int(d["range"][1])),
-                )
-                for d in n["directions"]
-            ),
-        )
+        GluingNode(n["id"], tuple(_direction_from_dict(d, n["id"]) for d in n["directions"]))
         for n in obj.get("nodes", ())
     )
     for n in nodes:

@@ -26,6 +26,7 @@ from .exactnum import (
     coeff_to_json,
     solve_power_system,
 )
+from .exactnum.values import _json_int
 
 
 @dataclass(frozen=True)
@@ -651,14 +652,16 @@ def maptype_to_dict(mt: MapType) -> dict:
     }
 
 
-def _slot_from_dict(obj: Mapping) -> tuple[str, ContactSlot]:
+def _slot_from_dict(obj: Mapping, pid: str) -> tuple[str, ContactSlot]:
     coeff = obj.get("coeff")
+    s = obj.get("s")
+    where = f"{pid}: {obj['direction']}"
     return (
         obj["direction"],
         ContactSlot(
-            s=obj.get("s"),
-            eps=int(obj.get("eps", 0)),
-            level=int(obj.get("level", 0)),
+            s=None if s is None else _json_int(s, f"{where} s"),
+            eps=_json_int(obj.get("eps", 0), f"{where} eps"),
+            level=_json_int(obj.get("level", 0), f"{where} level"),
             coeff=None if coeff is None else coeff_from_json(coeff),
             formal=bool(obj.get("formal", False)),
         ),
@@ -675,7 +678,7 @@ def maptype_from_dict(obj: Mapping) -> MapType:
                 p["id"],
                 ContactRecord(
                     stratum=p.get("stratum"),
-                    slots=tuple(_slot_from_dict(s) for s in p.get("slots", ())),
+                    slots=tuple(_slot_from_dict(s, p["id"]) for s in p.get("slots", ())),
                 ),
             )
             for p in c.get("points", ())

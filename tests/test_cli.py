@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from ncd_moduli import maptype as mp
 from ncd_moduli.cli import run
 from ncd_moduli.fixtures import CATALOG
 
@@ -269,6 +270,62 @@ class TestMalformedCoeff:
         assert out == ""
         assert err == f"error: malformed {what} file: {message}\n"
         assert elapsed < 0.05, f"{elapsed:.3f} s"
+
+
+class TestIntegerFields:
+    """Integer fields take a JSON integer that is not a bool; anything else exits 2 naming it."""
+
+    GLUE = {
+        "s-float": ("s", 1.9, "x: d1 s = 1.9 is not an integer"),
+        "s-string": ("s", "2", "x: d1 s = '2' is not an integer"),
+        "s-bool": ("s", True, "x: d1 s = True is not an integer"),
+        "s-null": ("s", None, "x: d1 s = None is not an integer"),
+        "range-float": ("range", [0, 1.5], "x: d1 range = 1.5 is not an integer"),
+        "range-bool": ("range", [False, 1], "x: d1 range = False is not an integer"),
+        "range-string": ("range", "01", "x: d1 range = '01' is not a list of two integers"),
+        "range-short": ("range", [1], "x: d1 range = [1] is not a list of two integers"),
+    }
+    MAPTYPE = {
+        "s-bool": ("s", True, "main@z0: d1 s = True is not an integer"),
+        "s-float": ("s", 1.5, "main@z0: d1 s = 1.5 is not an integer"),
+        "s-string": ("s", "2", "main@z0: d1 s = '2' is not an integer"),
+        "eps-float": ("eps", 1.0, "main@z0: d1 eps = 1.0 is not an integer"),
+        "eps-bool": ("eps", True, "main@z0: d1 eps = True is not an integer"),
+        "level-string": ("level", "0", "main@z0: d1 level = '0' is not an integer"),
+        "level-bool": ("level", False, "main@z0: d1 level = False is not an integer"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(GLUE))
+    def test_gluing_exit_2(self, capsys, tmp_path, case):
+        field, value, message = self.GLUE[case]
+        obj = copy.deepcopy(_GLUE_PAYLOAD)
+        obj["nodes"][0]["directions"][0][field] = value
+        path = tmp_path / "glue.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        code, out, err = invoke(capsys, "glue", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: malformed gluing file: {message}\n"
+
+    @pytest.mark.parametrize("case", sorted(MAPTYPE))
+    @pytest.mark.parametrize(
+        "argv", [["validate"], ["levels"], ["dim", "--dimX", "4"]], ids=lambda a: a[0]
+    )
+    def test_maptype_exit_2(self, capsys, tmp_path, argv, case):
+        field, value, message = self.MAPTYPE[case]
+        obj = json.loads(CATALOG["neck2"].text())
+        slot = obj["components"][0]["points"][0]["slots"][0]
+        assert slot["direction"] == "d1"
+        slot[field] = value
+        path = tmp_path / "maptype.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        code, out, err = invoke(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out) == (2, "")
+        assert err == f"error: malformed map-type file: {message}\n"
+
+    def test_null_multiplicity_still_loads(self):
+        obj = json.loads(CATALOG["neck2"].text())
+        obj["components"][0]["points"][0]["slots"][0]["s"] = None
+        assert mp.maptype_from_dict(obj).record("main@z0").slot("d1").s is None
 
 
 class TestTopLevel:

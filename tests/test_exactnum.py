@@ -198,6 +198,66 @@ class TestValues:
         assert a == b and hash(a) == hash(b) and str(a) == str(b)
 
 
+# Exponents from a small set over a few primes, so products often cancel;
+# arguments k/12, so sums and differences often cross 1 or 0.
+small_values = st.builds(
+    ExactNonzeroComplex.from_parts,
+    st.dictionaries(
+        st.sampled_from((2, 3, 5)),
+        st.sampled_from([Fraction(k, d) for k in (-2, -1, 1, 2) for d in (1, 2)]),
+    ),
+    st.builds(Fraction, st.integers(0, 11), st.just(12)),
+)
+
+
+@st.composite
+def value_pairs(draw):
+    """(a, b), where b often holds the negatives of some of a's exponents."""
+    a, b = draw(small_values), draw(small_values)
+    cancel = draw(st.sets(st.sampled_from(a.primes()))) if a.mag and draw(st.booleans()) else ()
+    if cancel:
+        b = ExactNonzeroComplex.from_parts(
+            {**b.mag_dict, **{p: -e for p, e in a.mag if p in cancel}}, b.arg
+        )
+    return a, b
+
+
+def _negated(mag):
+    return tuple((p, -e) for p, e in mag)
+
+
+class TestValueArithmetic:
+    """The group operations build their results in normal form directly; the
+    normalising constructor, given the raw data, is the reference."""
+
+    @staticmethod
+    def assert_reference(got, raw_mag, raw_arg):
+        want = ExactNonzeroComplex(tuple(raw_mag), raw_arg)
+        assert got == want and hash(got) == hash(want)
+        assert all(type(e) is Fraction for _, e in got.mag) and type(got.arg) is Fraction
+
+    @given(value_pairs())
+    @settings(max_examples=300)
+    def test_mul_and_div(self, pair):
+        a, b = pair
+        self.assert_reference(a * b, a.mag + b.mag, a.arg + b.arg)
+        self.assert_reference(a / b, a.mag + _negated(b.mag), a.arg - b.arg)
+
+    @given(small_values)
+    def test_inverse(self, a):
+        self.assert_reference(a.inverse(), _negated(a.mag), -a.arg)
+        self.assert_reference(a * a.inverse(), (), 0)
+
+    @given(small_values, st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+    def test_pow(self, a, q):
+        self.assert_reference(a.pow(q), tuple((p, e * q) for p, e in a.mag), a.arg * q)
+
+    @given(small_values, st.integers(1, 5))
+    def test_roots(self, a, n):
+        want = {ExactNonzeroComplex(tuple((p, e / n) for p, e in a.mag), (a.arg + j) / n) for j in range(n)}
+        assert a.roots(n) == want
+
+
 class TestFactor:
     @given(st.integers(1, 10**9))
     @settings(max_examples=300)
@@ -450,6 +510,29 @@ class TestPowerSystems:
         assert sol.consistent
         assert sol.kernel_rank == 1
         assert sol.branch_count == 1
+
+    @pytest.mark.parametrize("entry", [Fraction(1, 2), 1.5, 2.0, "2"], ids=repr)
+    def test_non_integer_entry_rejected(self, entry):
+        v = ExactNonzeroComplex.from_rational(4)
+        for call in (
+            lambda: solve_power_system([[entry]], [v]),
+            lambda: verify_solution([[entry]], [v], [v]),
+            lambda: smith_normal_form([[entry]]),
+        ):
+            with pytest.raises(ValueError, match="is not an integer"):
+                call()
+
+    def test_integer_valued_rational_entry_accepted(self):
+        v = ExactNonzeroComplex.from_rational(4)
+        assert solve_power_system([[Fraction(2)]], [v]) == solve_power_system([[2]], [v])
+
+    @pytest.mark.parametrize(
+        "M, n_values, n_mu", [([[1, 2]], 1, 1), ([[1]], 2, 1), ([[1]], 1, 2), ([], 0, 1)]
+    )
+    def test_verify_solution_checks_shape(self, M, n_values, n_mu):
+        v = ExactNonzeroComplex.from_rational(4)
+        with pytest.raises(ValueError, match="values and"):
+            verify_solution(M, [v] * n_values, [v] * n_mu)
 
     @given(power_systems())
     @settings(max_examples=200, deadline=None)
