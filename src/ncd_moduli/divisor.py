@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
+from .exactnum.values import _json_int
+
 
 @dataclass(frozen=True)
 class BranchComponent:
@@ -311,19 +313,22 @@ def _stratum_from_dict(s: Mapping) -> Stratum:
     sid = _id(s["id"], "stratum id")
     return Stratum(
         id=sid,
-        depth=int(s["depth"]),
+        depth=_json_int(s["depth"], f"{sid}: depth"),
         slots=tuple(_id(r, f"{sid}: slot reference") for r in s.get("slots", ())),
-        normalization_components=int(s.get("normalization_components", 1)),
-        monodromy=tuple(tuple(p) for p in s.get("monodromy", ())),
+        normalization_components=_json_int(
+            s.get("normalization_components", 1), f"{sid}: normalization_components"
+        ),
+        monodromy=tuple(tuple(_json_int(i, f"{sid}: monodromy") for i in p) for p in s.get("monodromy", ())),
         boundary=frozenset(_id(b, f"{sid}: boundary reference") for b in s.get("boundary", ())),
     )
 
 
 def divisor_from_dict(obj: Mapping) -> CombinatorialDivisor:
-    """Load a divisor; ``ValueError`` names an id or reference that is not a string."""
+    """Load a divisor; ``ValueError`` names an id or reference that is not a
+    string, or an integer field that is not a JSON integer."""
     comps = tuple(BranchComponent(_id(c, "component id"), c) for c in obj["components"])
     strata = tuple(_stratum_from_dict(s) for s in obj["strata"])
-    return CombinatorialDivisor(int(obj["dimX"]), comps, strata)
+    return CombinatorialDivisor(_json_int(obj["dimX"], "dimX"), comps, strata)
 
 
 def dumps(d: CombinatorialDivisor) -> str:

@@ -1,12 +1,15 @@
-"""Exact arithmetic foundations: rationals, the multiplicative group of exact
-nonzero complex values, rational linear algebra, strict-positive cone
-feasibility, and integer lattice normal form."""
+"""Exact arithmetic foundations: the multiplicative group of exact nonzero
+complex values, rational linear algebra, strict-positive cone feasibility,
+and integer lattice normal form.
 
-from fractions import Fraction as Rational
+A matrix is a plain sequence of equal-length rows; rows of unequal length
+raise ``ValueError``.  The linear algebra reads ints and ``Fraction`` values;
+the Smith form and the power systems read integers.  ``smith_normal_form``
+returns U, D and V as tuples of int row tuples.
+"""
 
-from .lattice import IntegerMatrix, elementary_divisors, smith_normal_form
+from .lattice import elementary_divisors, smith_normal_form
 from .linalg import (
-    RationalMatrix,
     rank,
     rational_nullspace,
     rref,
@@ -23,14 +26,11 @@ from .values import (
 )
 
 __all__ = [
-    "Rational",
     "ExactNonzeroComplex",
     "ONE",
     "as_rational",
     "coeff_to_json",
     "coeff_from_json",
-    "RationalMatrix",
-    "IntegerMatrix",
     "rref",
     "rank",
     "solve_linear",

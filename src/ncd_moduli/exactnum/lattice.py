@@ -8,7 +8,8 @@ and enumerates the torsion branches of multiplicative power systems.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+
+IntMatrix = tuple[tuple[int, ...], ...]
 
 
 def _int_entry(x) -> int:
@@ -21,50 +22,20 @@ def _int_entry(x) -> int:
 
 def _int_rows(A) -> list[list[int]]:
     """Fresh lists of the rows of A; an entry that is not an integer raises ``ValueError``."""
-    if isinstance(A, IntegerMatrix):
-        return [list(r) for r in A.entries]
     out = [[_int_entry(x) for x in row] for row in A]
     if len({len(r) for r in out}) > 1:
         raise ValueError("matrix rows must have equal length")
     return out
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
-    entries: tuple[tuple[int, ...], ...]
+def smith_normal_form(A) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Return (U, D, V) with U*A*V = D, U and V unimodular, each a tuple of
+    int row tuples.
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(map(tuple, _int_rows(self.entries))))
-
-    @classmethod
-    def from_rows(cls, rows) -> "IntegerMatrix":
-        return cls(rows)
-
-    @classmethod
-    def _of(cls, rows: list[list[int]]) -> "IntegerMatrix":
-        """Wrap rows of ints of equal length without checking them again."""
-        matrix = object.__new__(cls)
-        object.__setattr__(matrix, "entries", tuple(map(tuple, rows)))
-        return matrix
-
-    @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        return cls._of([[int(i == j) for j in range(n)] for i in range(n)])
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-
-def smith_normal_form(A) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
-    """Return (U, D, V) with U*A*V = D, U and V unimodular.
-
-    D is diagonal with nonnegative entries d_1 | d_2 | ... followed by zeros.
-    An entry of A that is not an integer raises ``ValueError``.
+    A is a sequence of equal-length rows.  D is m x n and diagonal with
+    nonnegative entries d_1 | d_2 | ... followed by zeros; U is m x m and V
+    is n x n.  An entry of A that is not an integer, or rows of unequal
+    length, raise ``ValueError``.
     """
     D = _int_rows(A)
     m = len(D)
@@ -149,10 +120,9 @@ def smith_normal_form(A) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
     for i in range(min(m, n)):
         if D[i][i] < 0:
             negate_row(i)
-    return IntegerMatrix._of(U), IntegerMatrix._of(D), IntegerMatrix._of(V)
+    return tuple(map(tuple, U)), tuple(map(tuple, D)), tuple(map(tuple, V))
 
 
 def elementary_divisors(A) -> tuple[int, ...]:
-    _, D, _ = smith_normal_form(A)
-    k = min(D.rows, D.cols)
-    return tuple(D.entries[i][i] for i in range(k) if D.entries[i][i] != 0)
+    _, D, V = smith_normal_form(A)
+    return tuple(D[i][i] for i in range(min(len(D), len(V))) if D[i][i])

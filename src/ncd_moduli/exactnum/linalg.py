@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Inputs and results are ``fractions.Fraction`` values; there is no floating
-point anywhere.  Inside, ``rref`` and the phase-1 simplex share one
-integer-preserving Gauss-Jordan pivot step (``_pivot``, after Bareiss 1968)
-on sparse rows: each row is scaled once to integers and then held as a
+A matrix is a sequence of equal-length rows of ints or ``Fraction`` values,
+and results are ``Fraction`` values; there is no floating point anywhere.
+Inside, ``rref`` and the phase-1 simplex share one integer-preserving
+Gauss-Jordan pivot step (``_pivot``, after Bareiss 1968) on sparse rows: each row is scaled once to integers and then held as a
 ``{column: nonzero integer}`` map over a positive denominator, and every
 update divides exactly.  A pivot touches only the rows that hold its column,
 and each of those only over its own and the pivot row's columns, so the cost
@@ -22,42 +22,15 @@ returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count
 from math import lcm, prod
 from typing import Optional, Sequence
 
-Row = tuple[Fraction, ...]
 SparseRow = dict[int, int]
 
 _EXACT = {int, Fraction}
 _ZERO = Fraction(0)
-
-
-@dataclass(frozen=True)
-class RationalMatrix:
-    """A rectangular matrix of exact rationals."""
-
-    entries: tuple[Row, ...]
-
-    def __post_init__(self):
-        rows = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in r) for r in self.entries)
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("matrix rows must have equal length")
-        object.__setattr__(self, "entries", rows)
-
-    @classmethod
-    def from_rows(cls, rows) -> "RationalMatrix":
-        return cls(tuple(tuple(Fraction(x) for x in row) for row in rows))
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
 
 
 def _integer_rows(rows) -> tuple[list[SparseRow], list[int], int]:
@@ -68,8 +41,6 @@ def _integer_rows(rows) -> tuple[list[SparseRow], list[int], int]:
     Fractions are read as they are; any other entry goes through
     ``Fraction()``.
     """
-    if isinstance(rows, RationalMatrix):
-        rows = rows.entries
     ints, scales, ncols = [], [], None
     for row in rows:
         if not _EXACT.issuperset(map(type, row)):
@@ -175,7 +146,7 @@ def solve_linear(A, b) -> Optional[tuple[Fraction, ...]]:
     Free variables are set to zero, so the result is the canonical particular
     solution relative to the RREF pivot structure.
     """
-    M = A.entries if isinstance(A, RationalMatrix) else list(A)
+    M = list(A)
     bvec = list(b)
     if len(M) != len(bvec):
         raise ValueError("right-hand side length mismatch")

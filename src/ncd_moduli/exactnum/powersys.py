@@ -124,19 +124,13 @@ def _solve_once(rows: list[list[int]], values: Sequence[ExactNonzeroComplex]):
     # d_k psi_k = t_k / L with t_k = sum_j U_kj A_j mod L
     L = math.lcm(*[v.arg.denominator for v in values])
     A = [v.arg.numerator * (L // v.arg.denominator) for v in values]
-    if m == 0:
-        divisors: list[int] = []
-        t: list[int] = []
-        V = [[int(i == j) for j in range(n)] for i in range(n)]
-    else:
-        U, D, V = smith_normal_form(rows)
-        V = V.entries
-        t = [sum(map(operator.mul, u, A)) % L for u in U.entries]
-        divisors = [D.entries[i][i] for i in range(min(m, n))]
-        divisors += [0] * (m - len(divisors))
-        if any(ti and not d for ti, d in zip(t, divisors)):
-            return None
-        divisors = [d for d in divisors if d != 0]
+    U, D, V = smith_normal_form(rows)
+    t = [sum(map(operator.mul, u, A)) % L for u in U]
+    divisors = [D[i][i] for i in range(min(m, n))]
+    divisors += [0] * (m - len(divisors))
+    if any(ti and not d for ti, d in zip(t, divisors)):
+        return None
+    divisors = [d for d in divisors if d != 0]
     # psi_k = (t_k + j_k L) / (L d_k) = (base_k + j_k * den / d_k) / den with
     # den = L * lcm(d), and theta_i = sum_k V_ik psi_k mod 1; psi_k = 0 for k >= r.
     r = len(divisors)

@@ -203,17 +203,6 @@ class ExactNonzeroComplex:
             ExactNonzeroComplex._normalised(mag, (self.arg + j) / n) for j in range(n)
         )
 
-    # -- display only (never used in computations) ---------------------------
-
-    def approx(self) -> complex:
-        import cmath
-        import math
-
-        r = 1.0
-        for p, e in self.mag:
-            r *= math.exp(float(e) * math.log(p))
-        return r * cmath.exp(2j * cmath.pi * float(self.arg))
-
     def __str__(self) -> str:
         if not self.mag:
             mag = "1"

@@ -33,7 +33,14 @@ from .exactnum import (
     strict_positive_solution,
 )
 from .exactnum.values import _json_int
-from .maptype import MapType, check_broken_cylinders, check_naive, validate_structure
+from .maptype import (
+    MapType,
+    _json_list,
+    _json_object,
+    check_broken_cylinders,
+    check_naive,
+    validate_structure,
+)
 
 BetaKey = Union[int, tuple[str, int]]
 
@@ -445,18 +452,19 @@ def _direction_from_dict(d: Mapping, nid: str) -> GluingDirection:
 
 
 def gluing_from_dict(obj: Mapping) -> GluingProblem:
-    nodes = tuple(
-        GluingNode(n["id"], tuple(_direction_from_dict(d, n["id"]) for d in n["directions"]))
-        for n in obj.get("nodes", ())
-    )
+    """Load a gluing problem; ``ValueError`` names a field of the wrong JSON type."""
+    nodes = []
+    for n in _json_list(obj.get("nodes", []), "nodes"):
+        directions = _json_list(n["directions"], f"{n['id']} directions")
+        nodes.append(GluingNode(n["id"], tuple(_direction_from_dict(d, n["id"]) for d in directions)))
     for n in nodes:
         for d in n.directions:
             if d.multiplicity < 1:
                 raise ValueError(f"{n.id}: multiplicity {d.multiplicity} in {d.direction} must be positive")
     lambdas = tuple(
-        sorted((int(l), coeff_from_json(v)) for l, v in obj.get("levels", {}).items())
+        sorted((int(l), coeff_from_json(v)) for l, v in _json_object(obj.get("levels", {}), "levels").items())
     )
-    return GluingProblem(nodes, lambdas)
+    return GluingProblem(tuple(nodes), lambdas)
 
 
 def gluing_dumps(gp: GluingProblem) -> str:

@@ -16,6 +16,7 @@ Every validator and the level system read these instead of walking again.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
@@ -652,7 +653,22 @@ def maptype_to_dict(mt: MapType) -> dict:
     }
 
 
-def _slot_from_dict(obj: Mapping, pid: str) -> tuple[str, ContactSlot]:
+def _json_object(value, field: str) -> Mapping:
+    """A JSON object; anything else raises ``ValueError`` naming ``field``."""
+    if isinstance(value, dict):
+        return value
+    raise ValueError(f"{field} = {reprlib.repr(value)} is not an object")
+
+
+def _json_list(value, field: str) -> list:
+    """A JSON list; anything else raises ``ValueError`` naming ``field``."""
+    if isinstance(value, list):
+        return value
+    raise ValueError(f"{field} = {reprlib.repr(value)} is not a list")
+
+
+def _slot_from_dict(obj, pid: str) -> tuple[str, ContactSlot]:
+    obj = _json_object(obj, f"{pid} slot")
     coeff = obj.get("coeff")
     s = obj.get("s")
     where = f"{pid}: {obj['direction']}"
@@ -668,45 +684,49 @@ def _slot_from_dict(obj: Mapping, pid: str) -> tuple[str, ContactSlot]:
     )
 
 
+def _point_from_dict(obj, cid: str) -> tuple[str, ContactRecord]:
+    obj = _json_object(obj, f"{cid} point")
+    pid = obj["id"]
+    slots = _json_list(obj.get("slots", []), f"{pid} slots")
+    return pid, ContactRecord(obj.get("stratum"), tuple(_slot_from_dict(s, pid) for s in slots))
+
+
+def _levels_from_dict(value, field: str) -> tuple[tuple[str, int], ...]:
+    return tuple((k, _json_int(v, f"{field} {k}")) for k, v in _json_object(value, field).items())
+
+
 def maptype_from_dict(obj: Mapping) -> MapType:
-    building = obj.get("building", {})
-    pairing = obj.get("pairing", {})
+    """Load a map type; ``ValueError`` names a field of the wrong JSON type."""
+    building = _json_object(obj.get("building", {}), "building")
+    pairing = _json_object(obj.get("pairing", {}), "pairing")
     comps = []
-    for c in obj.get("components", ()):
-        points = tuple(
-            (
-                p["id"],
-                ContactRecord(
-                    stratum=p.get("stratum"),
-                    slots=tuple(_slot_from_dict(s, p["id"]) for s in p.get("slots", ())),
-                ),
-            )
-            for p in c.get("points", ())
-        )
+    for c in _json_list(obj.get("components", []), "components"):
+        c = _json_object(c, "component")
+        cid = c["id"]
+        points = _json_list(c.get("points", []), f"{cid} points")
         comps.append(
             Component(
-                id=c["id"],
-                genus=int(c.get("genus", 0)),
+                id=cid,
+                genus=_json_int(c.get("genus", 0), f"{cid} genus"),
                 trivial=bool(c.get("trivial", False)),
-                levels=tuple((k, int(v)) for k, v in c.get("levels", {}).items()),
-                points=points,
+                levels=_levels_from_dict(c.get("levels", {}), f"{cid} levels"),
+                points=tuple(_point_from_dict(p, cid) for p in points),
             )
         )
     return MapType(
         building_mode=building.get("mode", "uniform"),
-        m=int(building.get("m", 0)),
-        levels_by_component=tuple(
-            (k, int(v)) for k, v in building.get("levels", {}).items()
-        ),
-        direction_components=tuple(
-            (k, v) for k, v in obj.get("directions", {}).items()
-        ),
+        m=_json_int(building.get("m", 0), "building m"),
+        levels_by_component=_levels_from_dict(building.get("levels", {}), "building levels"),
+        direction_components=tuple(_json_object(obj.get("directions", {}), "directions").items()),
         components=tuple(comps),
-        nodes=tuple(Node(n["id"], tuple(n["ends"])) for n in obj.get("nodes", ())),
-        c1a=int(pairing.get("c1A", 0)),
-        av=int(pairing.get("AV", 0)),
-        chi=int(pairing.get("chi", 2)),
-        ell=int(pairing.get("ell", 0)),
+        nodes=tuple(
+            Node(n["id"], tuple(_json_list(n["ends"], f"{n['id']} ends")))
+            for n in _json_list(obj.get("nodes", []), "nodes")
+        ),
+        c1a=_json_int(pairing.get("c1A", 0), "pairing c1A"),
+        av=_json_int(pairing.get("AV", 0), "pairing AV"),
+        chi=_json_int(pairing.get("chi", 2), "pairing chi"),
+        ell=_json_int(pairing.get("ell", 0), "pairing ell"),
     )
 
 

@@ -237,8 +237,8 @@ def reference_power_branches(M, values):
     branch_sets = []
     if m:
         U, D, V = smith_normal_form(rows)
-        t = [sum(Fraction(U.entries[i][j]) * args[j] for j in range(m)) % 1 for i in range(m)]
-        divisors = [D.entries[i][i] for i in range(min(m, n))]
+        t = [sum(Fraction(U[i][j]) * args[j] for j in range(m)) % 1 for i in range(m)]
+        divisors = [D[i][i] for i in range(min(m, n))]
         r = sum(1 for d in divisors if d != 0)
         for i in range(m):
             if (divisors[i] if i < len(divisors) else 0) == 0 and t[i] != 0:
@@ -248,7 +248,7 @@ def reference_power_branches(M, values):
     for combo in itertools.product(*branch_sets):
         psi = list(combo) + [Fraction(0)] * (n - len(combo))
         theta = [
-            sum(Fraction(V.entries[i][k]) * psi[k] for k in range(n)) % 1 for i in range(n)
+            sum(Fraction(V[i][k]) * psi[k] for k in range(n)) % 1 for i in range(n)
         ] if m else [Fraction(0)] * n
         solutions.append(tuple(
             ExactNonzeroComplex.from_parts(

@@ -272,6 +272,18 @@ class TestMalformedCoeff:
         assert elapsed < 0.05, f"{elapsed:.3f} s"
 
 
+def _write_with(tmp_path, obj, path, value):
+    """Write obj, with the field at path (keys and indices) set to value, to a file."""
+    *parents, field = path
+    holder = obj
+    for key in parents:
+        holder = holder[key]
+    holder[field] = value
+    file = tmp_path / "input.json"
+    file.write_text(json.dumps(obj), encoding="utf-8")
+    return file
+
+
 class TestIntegerFields:
     """Integer fields take a JSON integer that is not a bool; anything else exits 2 naming it."""
 
@@ -322,10 +334,86 @@ class TestIntegerFields:
         assert (code, out) == (2, "")
         assert err == f"error: malformed map-type file: {message}\n"
 
+    # (file kind, fixture, path to the field, bad value, message)
+    FIELDS = {
+        "building-m-float": ("map-type", "neck2", ("building", "m"), 2.7, "building m = 2.7"),
+        "building-levels-bool": ("map-type", "neck2", ("building", "levels", "v1"), True, "building levels v1 = True"),
+        "component-levels-float": (
+            "map-type", "neck2", ("components", 0, "levels", "d1"), 1.0, "main levels d1 = 1.0"
+        ),
+        "genus-string": ("map-type", "neck2", ("components", 0, "genus"), "0", "main genus = '0'"),
+        "c1A-float": ("map-type", "neck2", ("pairing", "c1A"), 5.0, "pairing c1A = 5.0"),
+        "AV-string": ("map-type", "neck2", ("pairing", "AV"), "5", "pairing AV = '5'"),
+        "chi-bool": ("map-type", "neck2", ("pairing", "chi"), True, "pairing chi = True"),
+        "ell-null": ("map-type", "neck2", ("pairing", "ell"), None, "pairing ell = None"),
+        "dimX-bool": ("divisor", "ex0-n3", ("dimX",), True, "dimX = True"),
+        "depth-float": ("divisor", "ex0-n3", ("strata", 0, "depth"), 0.0, "X: depth = 0.0"),
+        "monodromy-float": ("divisor", "ex4dim", ("strata", 3, "monodromy"), [[1.0, 0]], "v1,v2: monodromy = 1.0"),
+        "normalization-string": (
+            "divisor", "ex0-n3", ("strata", 0, "normalization_components"), "1",
+            "X: normalization_components = '1'",
+        ),
+    }
+    COMMANDS = {"map-type": [["validate"], ["levels"], ["dim", "--dimX", "4"]], "divisor": [["strata"]]}
+
+    @pytest.mark.parametrize("case", sorted(FIELDS))
+    def test_loader_field_exit_2(self, capsys, tmp_path, case):
+        what, name, path, value, message = self.FIELDS[case]
+        obj = json.loads(CATALOG[name].text())
+        file = _write_with(tmp_path, obj, path, value)
+        for argv in self.COMMANDS[what]:
+            code, out, err = invoke(capsys, argv[0], str(file), *argv[1:])
+            assert (code, out) == (2, "")
+            assert err == f"error: malformed {what} file: {message} is not an integer\n"
+
     def test_null_multiplicity_still_loads(self):
         obj = json.loads(CATALOG["neck2"].text())
         obj["components"][0]["points"][0]["slots"][0]["s"] = None
         assert mp.maptype_from_dict(obj).record("main@z0").slot("d1").s is None
+
+
+class TestShapes:
+    """An object or a list given as the other JSON type exits 2 naming the field."""
+
+    # (command, path to the field, bad value, message); paths start in neck2
+    # for validate and in the gluing payload for glue
+    CASES = {
+        "building-list": ("validate", ("building",), [], "building = [] is not an object"),
+        "pairing-list": ("validate", ("pairing",), [], "pairing = [] is not an object"),
+        "directions-list": ("validate", ("directions",), [], "directions = [] is not an object"),
+        "component-levels-list": ("validate", ("components", 0, "levels"), [], "main levels = [] is not an object"),
+        "building-levels-list": ("validate", ("building", "levels"), [1], "building levels = [1] is not an object"),
+        "components-object": ("validate", ("components",), {}, "components = {} is not a list"),
+        "component-string": ("validate", ("components", 0), "x", "component = 'x' is not an object"),
+        "points-object": ("validate", ("components", 0, "points"), {}, "main points = {} is not a list"),
+        "point-list": ("validate", ("components", 0, "points", 0), [], "main point = [] is not an object"),
+        "slots-string": (
+            "validate", ("components", 0, "points", 0, "slots"), "ab", "main@z0 slots = 'ab' is not a list"
+        ),
+        "slot-int": ("validate", ("components", 0, "points", 0, "slots", 0), 3, "main@z0 slot = 3 is not an object"),
+        "nodes-object": ("validate", ("nodes",), {}, "nodes = {} is not a list"),
+        "ends-string": ("validate", ("nodes", 0, "ends"), "ab", "z0 ends = 'ab' is not a list"),
+        "glue-levels-list": ("glue", ("levels",), [], "levels = [] is not an object"),
+        "glue-nodes-object": ("glue", ("nodes",), {}, "nodes = {} is not a list"),
+        "glue-directions-object": ("glue", ("nodes", 0, "directions"), {}, "x directions = {} is not a list"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_2(self, capsys, tmp_path, case):
+        command, path, value, message = self.CASES[case]
+        obj = json.loads(CATALOG["neck2"].text()) if command == "validate" else copy.deepcopy(_GLUE_PAYLOAD)
+        file = _write_with(tmp_path, obj, path, value)
+        code, out, err = invoke(capsys, command, str(file))
+        what = "map-type" if command == "validate" else "gluing"
+        assert (code, out) == (2, "")
+        assert err == f"error: malformed {what} file: {message}\n"
+
+    @pytest.mark.parametrize("command", ["validate", "levels"])
+    def test_divisor_file_given_as_map_type(self, capsys, fixture_file, command):
+        # a divisor lists its components as strings
+        code, out, err = invoke(capsys, command, fixture_file("ex0-n3"))
+        assert (code, out) == (2, "")
+        assert err == "error: malformed map-type file: component = 'h1' is not an object\n"
 
 
 class TestTopLevel:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from ncd_moduli.exactnum import (
     ONE,
     ExactNonzeroComplex,
-    RationalMatrix,
     coeff_from_json,
     rank,
     rational_nullspace,
@@ -376,8 +375,6 @@ class TestLinalg:
     def test_positive_empty_matrix(self):
         assert strict_positive_solution([]) == ()
         assert strict_positive_solution([[]]) == ()
-        empty = RationalMatrix(())
-        assert empty.cols == 0 and strict_positive_solution(empty) == ()
 
     @given(rational_matrices())
     @settings(max_examples=300, deadline=None)
@@ -401,12 +398,6 @@ class TestLinalg:
         assert solve_linear(rows, b) == reference_solve_linear(rows, b)
         assert strict_positive_solution(rows) == reference_strict_positive_solution(rows)
 
-    def test_rational_matrix_shape(self):
-        m = RationalMatrix.from_rows([[1, 2], [3, 4]])
-        assert (m.rows, m.cols) == (2, 2)
-        with pytest.raises(ValueError):
-            RationalMatrix.from_rows([[1], [2, 3]])
-
     @pytest.mark.parametrize("seed", range(6))
     def test_positive_matches_fourier_motzkin(self, seed):
         rng = random.Random(1000 + seed)
@@ -419,6 +410,35 @@ class TestLinalg:
             assert (witness is not None) == feasible
             if witness is not None:
                 assert all(x > 0 for x in witness)
+
+
+_RAGGED = [[1], [2, 3]]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        rref,
+        rank,
+        rational_nullspace,
+        lambda rows: solve_linear(rows, [0, 0]),
+        strict_positive_solution,
+        smith_normal_form,
+        lambda rows: solve_power_system(rows, [ONE, ONE]),
+    ],
+    ids=[
+        "rref",
+        "rank",
+        "rational_nullspace",
+        "solve_linear",
+        "strict_positive_solution",
+        "smith_normal_form",
+        "solve_power_system",
+    ],
+)
+def test_ragged_rows_rejected(call):
+    with pytest.raises(ValueError, match="equal length"):
+        call(_RAGGED)
 
 
 class TestSmith:
@@ -434,19 +454,24 @@ class TestSmith:
         U, D, V = smith_normal_form(rows)
         m, n = len(rows), len(rows[0])
         # U A V == D
-        prod = _mat_mul(_mat_mul([list(r) for r in U.entries], rows), [list(r) for r in V.entries])
-        assert prod == [list(r) for r in D.entries]
-        assert _det(U.entries) in (1, -1)
-        assert _det(V.entries) in (1, -1)
-        divisors = [D.entries[i][i] for i in range(min(m, n))]
+        prod = _mat_mul(_mat_mul([list(r) for r in U], rows), [list(r) for r in V])
+        assert prod == [list(r) for r in D]
+        assert _det(U) in (1, -1)
+        assert _det(V) in (1, -1)
+        divisors = [D[i][i] for i in range(min(m, n))]
         for i in range(m):
             for j in range(n):
                 if i != j:
-                    assert D.entries[i][j] == 0
+                    assert D[i][j] == 0
         nz = [d for d in divisors if d != 0]
         assert all(d > 0 for d in nz)
         for a, b in zip(nz, nz[1:]):
             assert b % a == 0
+
+
+    def test_returns_int_row_tuples(self):
+        assert smith_normal_form([[2, 4]]) == (((1,),), ((2, 0),), ((1, -2), (0, 1)))
+        assert smith_normal_form([]) == ((), (), ())
 
 
 def _mat_mul(a, b):
@@ -510,6 +535,13 @@ class TestPowerSystems:
         assert sol.consistent
         assert sol.kernel_rank == 1
         assert sol.branch_count == 1
+
+    def test_zero_rows(self):
+        # no equation: one branch, the empty vector, and no torus
+        sol = solve_power_system([], [])
+        assert sol.consistent
+        assert (sol.branch_count, sol.kernel_rank) == (1, 0)
+        assert list(sol.solutions) == [()]
 
     @pytest.mark.parametrize("entry", [Fraction(1, 2), 1.5, 2.0, "2"], ids=repr)
     def test_non_integer_entry_rejected(self, entry):
