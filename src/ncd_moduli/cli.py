@@ -169,6 +169,9 @@ def _cmd_building(args) -> int:
             b = bd.build(d, args.m)
     except ValueError as e:
         raise InputError(str(e)) from e
+    if args.json:
+        _emit(args, "building", bd.building_to_dict(b), ())
+        return 0
     classes = b.piece_classes()
     lines = [
         f"mode: {b.mode}, m = {b.m}",
@@ -181,7 +184,7 @@ def _cmd_building(args) -> int:
             f"over {', '.join(c.strata)}"
         )
     lines.append(f"divisor strata: {len(b.divisor_strata)}, attaching pairs: {len(b.attaching)}")
-    _emit(args, "building", bd.building_to_dict(b), lines)
+    _emit(args, "building", None, lines)
     return 0
 
 

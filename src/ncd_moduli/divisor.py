@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .exactnum.values import _json_int
+from .exactnum.values import _json_int, _json_list, _json_object
 
 
 @dataclass(frozen=True)
@@ -309,25 +309,32 @@ def _id(value, field: str) -> str:
     return value
 
 
-def _stratum_from_dict(s: Mapping) -> Stratum:
+def _stratum_from_dict(s) -> Stratum:
+    s = _json_object(s, "stratum")
     sid = _id(s["id"], "stratum id")
     return Stratum(
         id=sid,
         depth=_json_int(s["depth"], f"{sid}: depth"),
-        slots=tuple(_id(r, f"{sid}: slot reference") for r in s.get("slots", ())),
+        slots=tuple(_id(r, f"{sid}: slot reference") for r in _json_list(s.get("slots", []), f"{sid}: slots")),
         normalization_components=_json_int(
             s.get("normalization_components", 1), f"{sid}: normalization_components"
         ),
-        monodromy=tuple(tuple(_json_int(i, f"{sid}: monodromy") for i in p) for p in s.get("monodromy", ())),
-        boundary=frozenset(_id(b, f"{sid}: boundary reference") for b in s.get("boundary", ())),
+        monodromy=tuple(
+            tuple(_json_int(i, f"{sid}: monodromy") for i in _json_list(p, f"{sid}: monodromy"))
+            for p in _json_list(s.get("monodromy", []), f"{sid}: monodromy")
+        ),
+        boundary=frozenset(
+            _id(b, f"{sid}: boundary reference") for b in _json_list(s.get("boundary", []), f"{sid}: boundary")
+        ),
     )
 
 
 def divisor_from_dict(obj: Mapping) -> CombinatorialDivisor:
-    """Load a divisor; ``ValueError`` names an id or reference that is not a
-    string, or an integer field that is not a JSON integer."""
-    comps = tuple(BranchComponent(_id(c, "component id"), c) for c in obj["components"])
-    strata = tuple(_stratum_from_dict(s) for s in obj["strata"])
+    """Load a divisor; ``ValueError`` names a list or object of the wrong
+    JSON type, an id or reference that is not a string, or an integer field
+    that is not a JSON integer."""
+    comps = tuple(BranchComponent(_id(c, "component id"), c) for c in _json_list(obj["components"], "components"))
+    strata = tuple(_stratum_from_dict(s) for s in _json_list(obj["strata"], "strata"))
     return CombinatorialDivisor(_json_int(obj["dimX"], "dimX"), comps, strata)
 
 

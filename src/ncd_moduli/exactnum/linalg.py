@@ -12,19 +12,29 @@ until the result is.
 
 Scaling rows by positive factors changes neither the reduced row echelon
 form, which is unique, nor any choice of the simplex, whose entering and
-leaving rules (Bland's) read only signs and ratios.  So every result is the
-one a plain Fraction tableau gives; the test suite keeps that tableau as its
-reference.  Strict positivity of homogeneous systems is decided on the
-equivalent inhomogeneous problem ``A v = 0, v >= 1`` (the cone is scale
-invariant), and a witness is checked against ``A v = 0`` before it is
-returned.
+leaving rules (Bland's) read only signs and ratios.  So ``rref``,
+``rational_nullspace`` and ``solve_linear`` return what a plain Fraction
+tableau gives; the test suite keeps that tableau as its reference.
+
+Strict positivity of homogeneous systems, ``A v = 0, v > 0``, is presolved
+first (``_presolve``, the two-term row reduction of Andersen and Andersen,
+*Presolving in linear programming*, 1995): a row with two terms of opposite
+signs makes one unknown a positive multiple of the other, and that unknown
+is substituted out; a row of one sign has no positive solution.  A level
+system's rows mostly have two terms, so on them little or nothing is left.
+What is left goes to the simplex, on the equivalent inhomogeneous problem
+``A v = 0, v >= 1`` (the cone is scale invariant).  The witness may
+therefore differ from the one Bland's rule gives on the whole matrix, but
+whether one exists does not, and a witness is checked against every
+original row before it is returned.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from itertools import compress, count
-from math import lcm, prod
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 SparseRow = dict[int, int]
@@ -33,15 +43,14 @@ _EXACT = {int, Fraction}
 _ZERO = Fraction(0)
 
 
-def _integer_rows(rows) -> tuple[list[SparseRow], list[int], int]:
-    """Each row times the lcm of its denominators, as a sparse map; those
-    lcms; and the column count.
+def _integer_rows(rows) -> tuple[list[SparseRow], int]:
+    """Each row times the lcm of its denominators, as a sparse map; and the
+    column count.
 
-    Row i of the input is ``ints[i] / scales[i]`` exactly.  Ints and
-    Fractions are read as they are; any other entry goes through
+    Ints and Fractions are read as they are; any other entry goes through
     ``Fraction()``.
     """
-    ints, scales, ncols = [], [], None
+    ints, ncols = [], None
     for row in rows:
         if not _EXACT.issuperset(map(type, row)):
             row = [Fraction(x) for x in row]
@@ -52,8 +61,7 @@ def _integer_rows(rows) -> tuple[list[SparseRow], list[int], int]:
         nonzero = dict(zip(compress(count(), row), filter(None, row)))
         scale = lcm(*[x.denominator for x in nonzero.values()])
         ints.append({j: x.numerator * (scale // x.denominator) for j, x in nonzero.items()})
-        scales.append(scale)
-    return ints, scales, ncols or 0
+    return ints, ncols or 0
 
 
 def _pivot(T: list[SparseRow], den: list[int], r: int, c: int, d: int) -> int:
@@ -105,7 +113,7 @@ def _rref(rows) -> tuple[list[SparseRow], list[int], list[int], int]:
     last pivot row are empty.
     """
     # scaling a row leaves its reduced form alone, so start from integer rows
-    T, _, ncols = _integer_rows(rows)
+    T, ncols = _integer_rows(rows)
     den = [1] * len(T)
     d = 1
     pivots: list[int] = []
@@ -178,30 +186,29 @@ def rational_nullspace(A) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(v) for v in basis.values())
 
 
-def _phase_one_feasible(T: list[SparseRow], den: list[int], n: int) -> Optional[list[Fraction]]:
+def _phase_one_feasible(T: list[SparseRow], n: int) -> Optional[list[Fraction]]:
     """Exact phase-1 simplex: find x >= 0 with A x = b, else None.
 
-    Row i of the tableau ``[A | b]`` is ``T[i] / den[i]``, a sparse integer
-    row over columns 0 .. n (b is column n), with ``den[i] > 0`` and
-    ``b >= 0``; T and den are pivoted in place.  Artificial variable i starts
-    basic in row i.  Artificial columns never enter, so they are not stored.
-    Bland's rule on both the entering and leaving choices rules out cycling,
-    so termination is guaranteed in exact arithmetic.
+    Row i of the tableau ``[A | b]`` is ``T[i]``, a sparse integer row over
+    columns 0 .. n (b is column n) with ``b >= 0``; T is pivoted in place.
+    Artificial variable i starts basic in row i.  Artificial columns never
+    enter, so they are not stored.  Bland's rule on both the entering and
+    leaving choices rules out cycling, so termination is guaranteed in exact
+    arithmetic.
     """
     m = len(T)
-    # Over the artificial basis the rows share the denominator prod(den),
-    # the determinant of that basis in row-scaled integer form.
-    d = prod(den)
+    # Over the artificial basis every row, the objective's too, has the
+    # denominator 1.
+    den = [1] * (m + 1)
+    d = 1
     # Objective row: the sum of the rows whose basic variable is artificial.
     # Column j improves the phase-1 objective when its entry is positive; the
     # entry of a basic column is 0.  It is pivoted like any other row.
     objective: SparseRow = {}
-    for row, q in zip(T, den):
-        s = d // q
+    for row in T:
         for k, x in row.items():
-            objective[k] = objective.get(k, 0) + x * s
+            objective[k] = objective.get(k, 0) + x
     T.append({k: x for k, x in objective.items() if x})
-    den.append(d)
     basis = list(range(n, n + m))
     while True:
         entering = min((j for j, x in T[m].items() if x > 0 and j < n), default=None)
@@ -232,29 +239,133 @@ def _phase_one_feasible(T: list[SparseRow], den: list[int], n: int) -> Optional[
     return x
 
 
+def _one_signed(row: SparseRow) -> bool:
+    """Whether the nonzero entries of a nonempty row all have one sign, so
+    that no v > 0 makes the row vanish."""
+    return min(row.values()) > 0 or max(row.values()) < 0
+
+
+# (j, k, p, q): the unknown v_j was replaced by p v_k / q, with p, q > 0
+Substitution = tuple[int, int, int, int]
+
+
+def _presolve(rows: list[SparseRow]) -> Optional[tuple[dict[int, SparseRow], list[Substitution]]]:
+    """Substitute out the rows of A v = 0, v > 0 that have at most two terms.
+
+    An empty row is dropped, and a row whose entries all have one sign has
+    no solution v > 0, so the result is None.  A row ``a v_j + b v_k = 0``
+    with a and b of opposite signs fixes ``v_j = (|b| / |a|) v_k``, a
+    positive multiple, so it is dropped and v_j is replaced in every row
+    that holds it.  Of j and k, the one that lies in fewer rows goes (the
+    lower index on a tie), so columns shared by many rows are kept longest.
+    A replacement never adds a term to a row, so the work follows the
+    nonzeros; each rewritten row is divided by the gcd of its entries and
+    is queued again once it has two terms or fewer.
+
+    Returns the rows left, by their index in rows, and the substitutions in
+    the order they were made.  The rows in rows are not changed.
+    """
+    live: dict[int, SparseRow] = {}
+    holders: dict[int, set[int]] = defaultdict(set)  # column -> live rows that hold it
+    queue = []
+    for i, row in enumerate(rows):
+        if not row:
+            continue
+        if _one_signed(row):
+            return None
+        live[i] = row
+        for j in row:
+            holders[j].add(i)
+        if len(row) <= 2:
+            queue.append(i)
+    subs = []
+    while queue:
+        i = queue.pop()
+        row = live.pop(i, None)
+        if row is None:
+            continue
+        (j, a), (k, b) = row.items()
+        for c in (j, k):
+            holders[c].remove(i)
+        if (len(holders[k]), k) < (len(holders[j]), j):
+            j, a, k, b = k, b, j, a
+        p, q = abs(b), abs(a)
+        subs.append((j, k, p, q))
+        for r in holders.pop(j):
+            old = live[r]
+            # f v_j = (f p / q) v_k: scale the row by t = q / gcd(q, f)
+            f = old[j]
+            g = gcd(q, f)
+            t = q // g
+            new = {c: x * t for c, x in old.items() if c != j}
+            x = new.get(k, 0) + f // g * p
+            if x:
+                if k not in new:
+                    holders[k].add(r)
+                new[k] = x
+            elif k in new:
+                del new[k]
+                holders[k].remove(r)
+            if not new:
+                del live[r]
+                continue
+            if _one_signed(new):
+                return None
+            g = gcd(*new.values())
+            if g != 1:
+                new = {c: x // g for c, x in new.items()}
+            live[r] = new
+            if len(new) <= 2:
+                queue.append(r)
+    return live, subs
+
+
 def strict_positive_solution(A) -> Optional[tuple[Fraction, ...]]:
     """A rational v with A v = 0 and every coordinate > 0, or None.
 
-    Decided exactly through the inhomogeneous problem {A w = -A*1, w >= 0}
-    and v = w + 1; absence is a certified answer, not an error.  A matrix
-    with no columns has the empty solution ``()``.
+    The rows with at most two terms are substituted out first
+    (``_presolve``); what is left is decided exactly through the
+    inhomogeneous problem {A' w = -A'*1, w >= 0} and v = w + 1, and the
+    substituted unknowns are then restored from the ones they were replaced
+    by.  The solutions v > 0 form a cone, and v is returned as the
+    integer point of its ray whose coordinates have gcd 1.  Absence is a
+    certified answer, not an error.  A matrix with no columns has the empty
+    solution ``()``.
     """
-    A_int, den, n = _integer_rows(A)
+    A_int, n = _integer_rows(A)
     if not n:
         return ()
+    presolved = _presolve(A_int)
+    if presolved is None:
+        return None
+    live, subs = presolved
+    # the rows left, over the columns they hold, renumbered in order
+    columns = sorted({c for row in live.values() for c in row})
+    index = {c: i for i, c in enumerate(columns)}
+    width = len(columns)
     T = []
-    for row in A_int:
+    for i in sorted(live):
+        row = {index[c]: x for c, x in live[i].items()}
         rhs = -sum(row.values())
-        t = {k: -x for k, x in row.items()} if rhs < 0 else dict(row)
+        t = {k: -x for k, x in row.items()} if rhs < 0 else row
         if rhs:
-            t[n] = abs(rhs)
+            t[width] = abs(rhs)
         T.append(t)
-    w = _phase_one_feasible(T, den, n)
+    w = _phase_one_feasible(T, width)
     if w is None:
         return None
-    v = tuple(x + 1 for x in w)
-    scale = lcm(*(x.denominator for x in v))
-    v_int = [x.numerator * (scale // x.denominator) for x in v]
+    # v_c = num[c] / den[c] in lowest terms: w + 1 on the columns left, 1 on
+    # a column no row holds, and each substituted column from its replacement
+    num, den = [1] * n, [1] * n
+    for c, x in zip(columns, w):
+        num[c], den[c] = x.numerator + x.denominator, x.denominator
+    for j, k, p, q in reversed(subs):
+        a, b = num[k] * p, den[k] * q
+        g = gcd(a, b)
+        num[j], den[j] = a // g, b // g
+    scale = lcm(*den)
+    v_int = [x * (scale // d) for x, d in zip(num, den)]
     if any(sum(a * v_int[k] for k, a in row.items()) for row in A_int):
-        raise AssertionError("simplex returned a non-solution")
-    return v
+        raise AssertionError("presolve and simplex returned a non-solution")
+    g = gcd(*v_int)
+    return tuple(Fraction(x // g) for x in v_int)

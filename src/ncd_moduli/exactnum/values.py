@@ -282,6 +282,34 @@ def _json_int(value, field: str) -> int:
     raise ValueError(f"{field} = {reprlib.repr(value)} is not an integer")
 
 
+# An integer object key is written as str() writes an int, so that no two
+# keys of one object name the same integer.
+_INT_KEY = re.compile(rf"0|-?[1-9][0-9]{{0,{_RATIONAL_DIGITS - 1}}}")
+
+
+def _json_int_key(key: str, field: str) -> int:
+    """An object key that is ``str(n)`` for an int n of at most
+    _RATIONAL_DIGITS digits; anything else (a sign '+', a leading zero,
+    spaces, underscores) raises ``ValueError`` naming ``field`` and the key."""
+    if _INT_KEY.fullmatch(key):
+        return int(key)
+    raise ValueError(f"{field} {reprlib.repr(key)} is not a canonical integer of at most {_RATIONAL_DIGITS} digits")
+
+
+def _json_object(value, field: str) -> Mapping:
+    """A JSON object; anything else raises ``ValueError`` naming ``field``."""
+    if isinstance(value, dict):
+        return value
+    raise ValueError(f"{field} = {reprlib.repr(value)} is not an object")
+
+
+def _json_list(value, field: str) -> list:
+    """A JSON list; anything else raises ``ValueError`` naming ``field``."""
+    if isinstance(value, list):
+        return value
+    raise ValueError(f"{field} = {reprlib.repr(value)} is not a list")
+
+
 def coeff_from_json(obj: Mapping) -> ExactNonzeroComplex:
     """Load a coefficient; every magnitude key must be a prime below _MR_BOUND.
 
@@ -295,7 +323,7 @@ def coeff_from_json(obj: Mapping) -> ExactNonzeroComplex:
         raise ValueError(f"coefficient primes must be an object, not {type(primes).__name__}")
     mag = {}
     for key, e in primes.items():
-        p = int(key)
+        p = _json_int_key(key, "magnitude key")
         if p >= _MR_BOUND:
             raise ValueError(f"magnitude key {key} is not below {_MR_BOUND}, the bound of the primality check")
         if not _is_prime(p):

@@ -32,11 +32,9 @@ from .exactnum import (
     solve_power_system,
     strict_positive_solution,
 )
-from .exactnum.values import _json_int
+from .exactnum.values import _json_int, _json_int_key, _json_list, _json_object
 from .maptype import (
     MapType,
-    _json_list,
-    _json_object,
     check_broken_cylinders,
     check_naive,
     validate_structure,
@@ -462,7 +460,10 @@ def gluing_from_dict(obj: Mapping) -> GluingProblem:
             if d.multiplicity < 1:
                 raise ValueError(f"{n.id}: multiplicity {d.multiplicity} in {d.direction} must be positive")
     lambdas = tuple(
-        sorted((int(l), coeff_from_json(v)) for l, v in _json_object(obj.get("levels", {}), "levels").items())
+        sorted(
+            (_json_int_key(l, "levels key"), coeff_from_json(v))
+            for l, v in _json_object(obj.get("levels", {}), "levels").items()
+        )
     )
     return GluingProblem(tuple(nodes), lambdas)
 

@@ -16,7 +16,6 @@ Every validator and the level system read these instead of walking again.
 from __future__ import annotations
 
 import json
-import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
@@ -27,7 +26,7 @@ from .exactnum import (
     coeff_to_json,
     solve_power_system,
 )
-from .exactnum.values import _json_int
+from .exactnum.values import _json_int, _json_list, _json_object
 
 
 @dataclass(frozen=True)
@@ -651,20 +650,6 @@ def maptype_to_dict(mt: MapType) -> dict:
         ],
         "nodes": [{"id": n.id, "ends": list(n.ends)} for n in mt.nodes],
     }
-
-
-def _json_object(value, field: str) -> Mapping:
-    """A JSON object; anything else raises ``ValueError`` naming ``field``."""
-    if isinstance(value, dict):
-        return value
-    raise ValueError(f"{field} = {reprlib.repr(value)} is not an object")
-
-
-def _json_list(value, field: str) -> list:
-    """A JSON list; anything else raises ``ValueError`` naming ``field``."""
-    if isinstance(value, list):
-        return value
-    raise ValueError(f"{field} = {reprlib.repr(value)} is not a list")
 
 
 def _slot_from_dict(obj, pid: str) -> tuple[str, ContactSlot]:

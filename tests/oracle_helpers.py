@@ -74,8 +74,11 @@ def grid_positive_point(A, denominator: int = 8, bound: int = 8):
 # -- reference Fraction implementations of the exact LP core -------------------
 #
 # The library pivots on integers; these are the plain Fraction tableaus it
-# replaced.  Both follow the same pivot rules, so the library must return
-# exactly these values.
+# replaced.  The elimination routines (rref, nullspace, solve_linear) follow
+# the same pivot rules, so the library must return exactly these values.  The
+# library's LP substitutes two-term rows out before its simplex, so its
+# witness may differ from reference_strict_positive_solution's; only whether
+# one exists must agree.
 
 def reference_rref(rows):
     """Reduced row echelon form on Fractions; returns (rows, pivot columns)."""

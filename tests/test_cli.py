@@ -95,6 +95,72 @@ class TestNonStringIds:
         assert err == f"error: malformed divisor file: {name} must be a string, not list\n"
 
 
+class TestDivisorShapes:
+    """A divisor list or object given as another JSON type exits 2 naming the field."""
+
+    # (path to the field in ex4dim, bad value, message)
+    CASES = {
+        "components-object": (("components",), {"v1": 1, "v2": 2}, "components = {'v1': 1, 'v2': 2} is not a list"),
+        "strata-object": (("strata",), {}, "strata = {} is not a list"),
+        "stratum-list": (("strata", 0), [], "stratum = [] is not an object"),
+        "monodromy-entry-int": (("strata", 3, "monodromy"), [3], "v1,v2: monodromy = 3 is not a list"),
+        "monodromy-object": (("strata", 3, "monodromy"), {}, "v1,v2: monodromy = {} is not a list"),
+        "slots-string": (("strata", 3, "slots"), "v1", "v1,v2: slots = 'v1' is not a list"),
+        "boundary-string": (("strata", 0, "boundary"), "v1", "X: boundary = 'v1' is not a list"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("command", ["strata", "building"])
+    def test_exit_2(self, capsys, tmp_path, command, case):
+        path, value, message = self.CASES[case]
+        obj = json.loads(CATALOG["ex4dim"].text())
+        assert obj["strata"][3]["id"] == "v1,v2" and obj["strata"][0]["id"] == "X"
+        file = _write_with(tmp_path, obj, path, value)
+        code, out, err = invoke(capsys, command, str(file))
+        assert (code, out) == (2, "")
+        assert err == f"error: malformed divisor file: {message}\n"
+
+
+class TestIntegerKeys:
+    """Level and prime keys are integers written as str() writes them; any
+    other spelling exits 2 naming the key, so no two keys name one integer."""
+
+    BAD = ["1_0", " 1 ", "+1", "01", "1.0", "-0", "", "\u0661"]
+    PRIME = ["+11", "011", "1_1", " 11"]
+    NOT_CANONICAL = "is not a canonical integer of at most 1000 digits"
+
+    @pytest.mark.parametrize("key", BAD)
+    def test_level_key_exit_2(self, capsys, tmp_path, key):
+        obj = copy.deepcopy(_GLUE_PAYLOAD)
+        obj["levels"] = {key: obj["levels"]["1"]}
+        file = tmp_path / "glue.json"
+        file.write_text(json.dumps(obj), encoding="utf-8")
+        code, out, err = invoke(capsys, "glue", str(file))
+        assert (code, out) == (2, "")
+        assert err == f"error: malformed gluing file: levels key {key!r} {self.NOT_CANONICAL}\n"
+
+    @pytest.mark.parametrize("key", PRIME)
+    @pytest.mark.parametrize("command", ["validate", "glue"])
+    def test_prime_key_exit_2(self, capsys, tmp_path, command, key):
+        obj = json.loads(CATALOG["neck2"].text()) if command == "validate" else copy.deepcopy(_GLUE_PAYLOAD)
+        _first_coeff(obj)["primes"] = {key: "1"}
+        file = tmp_path / "coeff.json"
+        file.write_text(json.dumps(obj), encoding="utf-8")
+        code, out, err = invoke(capsys, command, str(file))
+        what = "map-type" if command == "validate" else "gluing"
+        assert (code, out) == (2, "")
+        assert err == f"error: malformed {what} file: magnitude key {key!r} {self.NOT_CANONICAL}\n"
+
+    def test_two_spellings_of_one_prime_exit_2(self, capsys, tmp_path):
+        obj = copy.deepcopy(_GLUE_PAYLOAD)
+        obj["levels"]["1"]["primes"] = {"11": "1", "011": "2"}
+        file = tmp_path / "glue.json"
+        file.write_text(json.dumps(obj), encoding="utf-8")
+        code, out, err = invoke(capsys, "glue", str(file))
+        assert (code, out) == (2, "")
+        assert f"magnitude key '011' {self.NOT_CANONICAL}" in err
+
+
 class TestValidate:
     @pytest.mark.parametrize("name", ["neck1a", "neck1b", "neck2", "neck3"])
     def test_fixtures_exit_zero(self, capsys, fixture_file, name):

@@ -99,6 +99,59 @@ def block_angular_matrices(draw):
 
 
 @st.composite
+def two_term_block_matrices(draw):
+    """Block-angular matrices rich in two-term rows, the rows the LP's
+    presolve substitutes out: 1-5 blocks of 1-3 columns of their own share
+    1-3 trailing columns.  A row is two terms of opposite or equal signs,
+    within a block and its shared columns or between two shared columns
+    (so substitutions chain through them), or a longer row of mixed signs
+    over its block and the shared columns.  Half of them have the all-ones
+    vector in their kernel, set through the last shared column."""
+    n_shared = draw(st.integers(1, 3))
+    widths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    n = sum(widths) + n_shared
+    shared = list(range(n - n_shared, n))
+    rows = []
+    start = 0
+    for width in widths:
+        block = list(range(start, start + width))
+        start += width
+        for _ in range(draw(st.integers(1, 4))):
+            row = [0] * n
+            kind = draw(st.sampled_from(["pair", "pair", "chain", "long", "long"]))
+            if kind == "long":
+                for j in block + shared:
+                    row[j] = draw(st.integers(-3, 3))
+                # of mixed signs, so that it reaches the simplex
+                row[block[0]] = draw(st.integers(1, 3))
+                row[draw(st.sampled_from(shared))] = draw(st.integers(-3, -1))
+            else:
+                pool = shared if kind == "chain" and len(shared) > 1 else block + shared
+                j, k = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2, unique=True))
+                row[j] = draw(st.integers(1, 4))
+                # one pair in eight has equal signs
+                row[k] = (1 if draw(st.integers(0, 7)) == 0 else -1) * draw(st.integers(1, 4))
+            rows.append(row)
+    if draw(st.booleans()):
+        for row in rows:
+            row[-1] -= sum(row)
+    return rows
+
+
+def assert_positive_matches_reference(rows) -> bool:
+    """strict_positive_solution(rows) is None exactly when the Fraction
+    reference is, and is otherwise an exact solution with every coordinate
+    positive; returns whether one exists."""
+    v = strict_positive_solution(rows)
+    assert (v is None) == (reference_strict_positive_solution(rows) is None)
+    if v is not None:
+        assert len(v) == len(rows[0]) and all(x > 0 for x in v)
+        for row in rows:
+            assert sum(Fraction(a) * x for a, x in zip(row, v)) == 0
+    return v is not None
+
+
+@st.composite
 def power_systems(draw):
     """Systems up to 3 x 3 with entries in [-4, 4]; half of them consistent
     by construction (the values are the powers of a drawn solution)."""
@@ -380,7 +433,7 @@ class TestLinalg:
     @settings(max_examples=300, deadline=None)
     def test_matches_fraction_reference(self, rows):
         assert rref(rows) == reference_rref(rows)
-        assert strict_positive_solution(rows) == reference_strict_positive_solution(rows)
+        assert_positive_matches_reference(rows)
 
     @given(block_angular_matrices(), st.data())
     @settings(max_examples=120, deadline=None)
@@ -396,7 +449,14 @@ class TestLinalg:
         else:
             b = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)), label="b")
         assert solve_linear(rows, b) == reference_solve_linear(rows, b)
-        assert strict_positive_solution(rows) == reference_strict_positive_solution(rows)
+        assert_positive_matches_reference(rows)
+
+    @given(two_term_block_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_two_term_rows_match_references(self, rows):
+        feasible = assert_positive_matches_reference(rows)
+        if len(rows[0]) <= 4 and len(rows) <= 4:
+            assert feasible == fourier_motzkin_feasible(rows)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_positive_matches_fourier_motzkin(self, seed):

@@ -139,6 +139,17 @@ class TestScaling:
         assert dim == 1
         assert elapsed < 1.5, f"feasible_positive + torus_dim took {elapsed:.2f} s"
 
+    def test_neck2_copies_320_feasible_fast(self):
+        # 1,280 x 962; the presolve substitutes out every equation
+        sys = build_system(disjoint_copies(neck2(), 320))
+        start = time.perf_counter()
+        witness = feasible_positive(sys)
+        dim = torus_dim(sys)
+        elapsed = time.perf_counter() - start
+        assert witness is not None and all(v > 0 for v in witness.values())
+        assert dim == 1
+        assert elapsed < 1.5, f"feasible_positive + torus_dim took {elapsed:.2f} s"
+
     def test_neck2_copies_analysis_linear(self):
         mt = disjoint_copies(neck2(), 160)
         start = time.perf_counter()
