@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .exactnum.values import _json_int, _json_list, _json_object
+from .exactnum.values import _json_int, _json_list, _json_object, _json_str
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ def validate(d: CombinatorialDivisor) -> list[str]:
                         f"different component ({s.slots[j]})"
                     )
                     break
-        for b in s.boundary:
+        for b in sorted(s.boundary):
             if b not in by_id:
                 out.append(f"{s.id}: boundary references unknown stratum {b!r}")
             elif by_id[b].depth != s.depth + 1:
@@ -303,19 +303,13 @@ def divisor_to_dict(d: CombinatorialDivisor) -> dict:
     }
 
 
-def _id(value, field: str) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"{field} must be a string, not {type(value).__name__}")
-    return value
-
-
 def _stratum_from_dict(s) -> Stratum:
     s = _json_object(s, "stratum")
-    sid = _id(s["id"], "stratum id")
+    sid = _json_str(s["id"], "stratum id")
     return Stratum(
         id=sid,
         depth=_json_int(s["depth"], f"{sid}: depth"),
-        slots=tuple(_id(r, f"{sid}: slot reference") for r in _json_list(s.get("slots", []), f"{sid}: slots")),
+        slots=tuple(_json_str(r, f"{sid}: slot reference") for r in _json_list(s.get("slots", []), f"{sid}: slots")),
         normalization_components=_json_int(
             s.get("normalization_components", 1), f"{sid}: normalization_components"
         ),
@@ -324,7 +318,7 @@ def _stratum_from_dict(s) -> Stratum:
             for p in _json_list(s.get("monodromy", []), f"{sid}: monodromy")
         ),
         boundary=frozenset(
-            _id(b, f"{sid}: boundary reference") for b in _json_list(s.get("boundary", []), f"{sid}: boundary")
+            _json_str(b, f"{sid}: boundary reference") for b in _json_list(s.get("boundary", []), f"{sid}: boundary")
         ),
     )
 
@@ -333,7 +327,9 @@ def divisor_from_dict(obj: Mapping) -> CombinatorialDivisor:
     """Load a divisor; ``ValueError`` names a list or object of the wrong
     JSON type, an id or reference that is not a string, or an integer field
     that is not a JSON integer."""
-    comps = tuple(BranchComponent(_id(c, "component id"), c) for c in _json_list(obj["components"], "components"))
+    comps = tuple(
+        BranchComponent(_json_str(c, "component id"), c) for c in _json_list(obj["components"], "components")
+    )
     strata = tuple(_stratum_from_dict(s) for s in _json_list(obj["strata"], "strata"))
     return CombinatorialDivisor(_json_int(obj["dimX"], "dimX"), comps, strata)
 

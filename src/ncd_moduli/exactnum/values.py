@@ -282,6 +282,20 @@ def _json_int(value, field: str) -> int:
     raise ValueError(f"{field} = {reprlib.repr(value)} is not an integer")
 
 
+def _json_str(value, field: str) -> str:
+    """A JSON string; anything else raises ``ValueError`` naming ``field``."""
+    if isinstance(value, str):
+        return value
+    raise ValueError(f"{field} must be a string, not {type(value).__name__}")
+
+
+def _json_bool(value, field: str) -> bool:
+    """A JSON true or false; anything else raises ``ValueError`` naming ``field``."""
+    if isinstance(value, bool):
+        return value
+    raise ValueError(f"{field} = {reprlib.repr(value)} is not a boolean")
+
+
 # An integer object key is written as str() writes an int, so that no two
 # keys of one object name the same integer.
 _INT_KEY = re.compile(rf"0|-?[1-9][0-9]{{0,{_RATIONAL_DIGITS - 1}}}")

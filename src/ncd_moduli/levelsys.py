@@ -12,6 +12,8 @@ s1 != s2 on levels l1 != l2 satisfy beta(l1)/s1 = beta(l2)/s2.  A strictly
 positive solution is necessary for the type to arise as a limit; the
 dimension of the beta-projection of the solution space is the number of
 independent rescaling parameters, i.e. the stratum's complex codimension.
+That dimension is len(betas) minus the number of independent relations
+among the betas, which one elimination of the level matrix gives.
 """
 
 from __future__ import annotations
@@ -21,18 +23,18 @@ import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Mapping, Optional, Sequence, Union
+from math import gcd
+from typing import Callable, Mapping, Optional, Union
 
 from .exactnum import (
     ExactNonzeroComplex,
     coeff_from_json,
     coeff_to_json,
-    rank,
-    rational_nullspace,
     solve_power_system,
     strict_positive_solution,
 )
-from .exactnum.values import _json_int, _json_int_key, _json_list, _json_object
+from .exactnum.linalg import _rref
+from .exactnum.values import _json_int, _json_int_key, _json_list, _json_object, _json_str
 from .maptype import (
     MapType,
     check_broken_cylinders,
@@ -98,14 +100,22 @@ class LevelSystem:
         return column
 
     @cached_property
-    def _beta_kernel(self) -> tuple[tuple[Fraction, ...], ...]:
-        """A basis of the solutions of rows() (all unknowns if none), projected onto the betas."""
-        rows = self.rows()
-        if not rows:
-            nb = len(self.betas)
-            return tuple(tuple(Fraction(int(i == j)) for j in range(nb)) for i in range(nb))
-        na = len(self.alphas)
-        return tuple(v[na:] for v in rational_nullspace(rows))
+    def _beta_relations(self) -> tuple[tuple[Fraction, ...], ...]:
+        """``beta_relations``: the c with c . betas = 0 on every solution of rows().
+
+        Exactly then (0, c) lies in the row space of rows(), and with the
+        alphas first, the reduced rows whose pivot is a beta span those
+        vectors.  Reduced again with the betas reversed, each row's last
+        nonzero entry is its pivot, positive, and it is 0 at the other pivots.
+        """
+        na, nb = len(self.alphas), len(self.betas)
+        T, _, pivots, _ = _rref(self.rows())
+        tail = [[row.get(na + nb - 1 - j, 0) for j in range(nb)] for row, c in zip(T, pivots) if c >= na]
+        relations = []
+        for row in _rref(tail)[0]:
+            g = gcd(*row.values())
+            relations.append(tuple(Fraction(row.get(nb - 1 - j, 0) // g) for j in range(nb)))
+        return tuple(sorted(relations))
 
     def describe(self) -> list[str]:
         beta_column = self._beta_columns()
@@ -181,10 +191,8 @@ def feasible_positive(sys: LevelSystem) -> Optional[dict]:
 
 
 def torus_dim(sys: LevelSystem) -> int:
-    """Dimension of the beta-projection of the solution space."""
-    if not sys.betas or not sys._beta_kernel:
-        return 0
-    return rank(sys._beta_kernel)
+    """Dimension of the beta-projection of the solution space, len(betas) - len(beta_relations)."""
+    return len(sys.betas) - len(sys._beta_relations)
 
 
 def beta_relations(sys: LevelSystem) -> tuple[tuple[Fraction, ...], ...]:
@@ -192,31 +200,10 @@ def beta_relations(sys: LevelSystem) -> tuple[tuple[Fraction, ...], ...]:
 
     Each relation is a primitive integer vector over sys.betas, normalized so
     its last nonzero entry is positive; their count is len(betas) - torus_dim.
+    Sorted, they are one per beta that is a combination of the betas before
+    it on the solutions, and each is 0 at every other such beta.
     """
-    nb = len(sys.betas)
-    if nb == 0:
-        return ()
-    projected = sys._beta_kernel or [tuple(Fraction(0) for _ in range(nb))]
-    relations = rational_nullspace(projected)
-    return tuple(sorted(_normalize_relation(r) for r in relations))
-
-
-def _normalize_relation(rel: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    from math import gcd
-
-    denom = 1
-    for x in rel:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in rel]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g:
-        ints = [v // g for v in ints]
-    last = next((v for v in reversed(ints) if v), 0)
-    if last < 0:
-        ints = [-v for v in ints]
-    return tuple(Fraction(v) for v in ints)
+    return sys._beta_relations
 
 
 # -- asymptotic equivalence classes ----------------------------------------------
@@ -436,13 +423,15 @@ def gluing_to_dict(gp: GluingProblem) -> dict:
     }
 
 
-def _direction_from_dict(d: Mapping, nid: str) -> GluingDirection:
-    where = f"{nid}: {d['direction']}"
+def _direction_from_dict(d, nid: str) -> GluingDirection:
+    d = _json_object(d, f"{nid} direction")
+    direction = _json_str(d["direction"], f"{nid}: direction")
+    where = f"{nid}: {direction}"
     level_range = d["range"]
     if not isinstance(level_range, list) or len(level_range) != 2:
         raise ValueError(f"{where} range = {reprlib.repr(level_range)} is not a list of two integers")
     return GluingDirection(
-        d["direction"],
+        direction,
         _json_int(d["s"], f"{where} s"),
         coeff_from_json(d["product"]),
         tuple(_json_int(x, f"{where} range") for x in level_range),
@@ -453,8 +442,10 @@ def gluing_from_dict(obj: Mapping) -> GluingProblem:
     """Load a gluing problem; ``ValueError`` names a field of the wrong JSON type."""
     nodes = []
     for n in _json_list(obj.get("nodes", []), "nodes"):
-        directions = _json_list(n["directions"], f"{n['id']} directions")
-        nodes.append(GluingNode(n["id"], tuple(_direction_from_dict(d, n["id"]) for d in directions)))
+        n = _json_object(n, "node")
+        nid = _json_str(n["id"], "node id")
+        directions = _json_list(n["directions"], f"{nid} directions")
+        nodes.append(GluingNode(nid, tuple(_direction_from_dict(d, nid) for d in directions)))
     for n in nodes:
         for d in n.directions:
             if d.multiplicity < 1:

@@ -26,7 +26,7 @@ from .exactnum import (
     coeff_to_json,
     solve_power_system,
 )
-from .exactnum.values import _json_int, _json_list, _json_object
+from .exactnum.values import _json_bool, _json_int, _json_list, _json_object, _json_str
 
 
 @dataclass(frozen=True)
@@ -272,7 +272,7 @@ def validate_structure(mt: MapType) -> list[str]:
                 out.append(f"{c.id}: trivial component must have genus 0")
             if len(c.point_ids()) == 2:
                 (pa, ra), (pb, rb) = c.points
-                for d in set(ra.directions) & set(rb.directions):
+                for d in sorted(set(ra.directions) & set(rb.directions)):
                     sa, sb = ra.slot(d), rb.slot(d)
                     if sa.s is not None and sb.s is not None and sa.s != sb.s:
                         out.append(f"{c.id}: multiplicities differ across ends in {d}")
@@ -305,13 +305,14 @@ def validate_structure(mt: MapType) -> list[str]:
             mt.fibers
         except ValueError as e:
             out.append(str(e))
-    for pid in mt.marked_point_ids():
+    marked = mt.marked_point_ids()
+    for pid in marked:
         r = mt.record(pid)
         for d, sl in r.slots:
             if sl.eps == -1:
                 out.append(f"{pid}: marked point on an infinity divisor ({d})")
     try:
-        total = sum(mt.record(p).degree() for p in mt.marked_point_ids())
+        total = sum(mt.record(p).degree() for p in marked)
         if total != mt.av:
             out.append(f"marked contact degree {total} != A.V = {mt.av}")
     except ValueError as e:
@@ -656,24 +657,34 @@ def _slot_from_dict(obj, pid: str) -> tuple[str, ContactSlot]:
     obj = _json_object(obj, f"{pid} slot")
     coeff = obj.get("coeff")
     s = obj.get("s")
-    where = f"{pid}: {obj['direction']}"
+    direction = _json_str(obj["direction"], f"{pid}: slot direction")
+    where = f"{pid}: {direction}"
     return (
-        obj["direction"],
+        direction,
         ContactSlot(
             s=None if s is None else _json_int(s, f"{where} s"),
             eps=_json_int(obj.get("eps", 0), f"{where} eps"),
             level=_json_int(obj.get("level", 0), f"{where} level"),
             coeff=None if coeff is None else coeff_from_json(coeff),
-            formal=bool(obj.get("formal", False)),
+            formal=_json_bool(obj.get("formal", False), f"{where} formal"),
         ),
     )
 
 
 def _point_from_dict(obj, cid: str) -> tuple[str, ContactRecord]:
     obj = _json_object(obj, f"{cid} point")
-    pid = obj["id"]
+    pid = _json_str(obj["id"], f"{cid} point id")
     slots = _json_list(obj.get("slots", []), f"{pid} slots")
-    return pid, ContactRecord(obj.get("stratum"), tuple(_slot_from_dict(s, pid) for s in slots))
+    stratum = obj.get("stratum")
+    if stratum is not None:
+        stratum = _json_str(stratum, f"{pid} stratum")
+    return pid, ContactRecord(stratum, tuple(_slot_from_dict(s, pid) for s in slots))
+
+
+def _node_from_dict(obj) -> Node:
+    obj = _json_object(obj, "node")
+    nid = _json_str(obj["id"], "node id")
+    return Node(nid, tuple(_json_str(p, f"{nid} end") for p in _json_list(obj["ends"], f"{nid} ends")))
 
 
 def _levels_from_dict(value, field: str) -> tuple[tuple[str, int], ...]:
@@ -687,13 +698,13 @@ def maptype_from_dict(obj: Mapping) -> MapType:
     comps = []
     for c in _json_list(obj.get("components", []), "components"):
         c = _json_object(c, "component")
-        cid = c["id"]
+        cid = _json_str(c["id"], "component id")
         points = _json_list(c.get("points", []), f"{cid} points")
         comps.append(
             Component(
                 id=cid,
                 genus=_json_int(c.get("genus", 0), f"{cid} genus"),
-                trivial=bool(c.get("trivial", False)),
+                trivial=_json_bool(c.get("trivial", False), f"{cid} trivial"),
                 levels=_levels_from_dict(c.get("levels", {}), f"{cid} levels"),
                 points=tuple(_point_from_dict(p, cid) for p in points),
             )
@@ -704,10 +715,7 @@ def maptype_from_dict(obj: Mapping) -> MapType:
         levels_by_component=_levels_from_dict(building.get("levels", {}), "building levels"),
         direction_components=tuple(_json_object(obj.get("directions", {}), "directions").items()),
         components=tuple(comps),
-        nodes=tuple(
-            Node(n["id"], tuple(_json_list(n["ends"], f"{n['id']} ends")))
-            for n in _json_list(obj.get("nodes", []), "nodes")
-        ),
+        nodes=tuple(_node_from_dict(n) for n in _json_list(obj.get("nodes", []), "nodes")),
         c1a=_json_int(pairing.get("c1A", 0), "pairing c1A"),
         av=_json_int(pairing.get("AV", 0), "pairing AV"),
         chi=_json_int(pairing.get("chi", 2), "pairing chi"),

@@ -125,6 +125,34 @@ def reference_nullspace(rows):
     return tuple(basis)
 
 
+def reference_beta_relations(sys) -> tuple[int, tuple[tuple[Fraction, ...], ...]]:
+    """(torus_dim, beta_relations) of a level system by the two-kernel route.
+
+    The solutions of sys.rows() (every vector when there are no rows) are
+    projected onto the betas; torus_dim is the rank of the projection, and
+    the relations are the ``reference_nullspace`` basis of the projection,
+    each made a primitive integer vector with its last nonzero entry
+    positive, sorted.
+    """
+    na, nb = len(sys.alphas), len(sys.betas)
+    rows = sys.rows()
+    if rows:
+        projected = [v[na:] for v in reference_nullspace(rows)]
+    else:
+        projected = [[Fraction(int(i == j)) for j in range(nb)] for i in range(nb)]
+    if not nb:
+        return 0, ()
+    dim = _rank(projected)
+    relations = []
+    for rel in reference_nullspace(projected or [[Fraction(0)] * nb]):
+        scale = lcm(*(x.denominator for x in rel))
+        ints = [int(x * scale) for x in rel]
+        g = math.gcd(*ints)
+        last = next(v for v in reversed(ints) if v)
+        relations.append(tuple(Fraction(v // g * (1 if last > 0 else -1)) for v in ints))
+    return dim, tuple(sorted(relations))
+
+
 def reference_solve_linear(rows, b):
     """The solution of A x = b with every free variable 0, read off the
     ``reference_rref`` of [A | b], or None if inconsistent."""

@@ -459,20 +459,55 @@ class TestShapes:
         "slot-int": ("validate", ("components", 0, "points", 0, "slots", 0), 3, "main@z0 slot = 3 is not an object"),
         "nodes-object": ("validate", ("nodes",), {}, "nodes = {} is not a list"),
         "ends-string": ("validate", ("nodes", 0, "ends"), "ab", "z0 ends = 'ab' is not a list"),
+        "node-list": ("validate", ("nodes", 0), [], "node = [] is not an object"),
+        "component-id-int": ("validate", ("components", 0, "id"), 3, "component id must be a string, not int"),
+        "point-id-int": (
+            "validate", ("components", 0, "points", 0, "id"), 3, "main point id must be a string, not int"
+        ),
+        "node-id-int": ("validate", ("nodes", 0, "id"), 3, "node id must be a string, not int"),
+        "node-end-int": ("validate", ("nodes", 0, "ends", 0), 3, "z0 end must be a string, not int"),
+        "slot-direction-int": (
+            "validate", ("components", 0, "points", 0, "slots", 0, "direction"), 1,
+            "main@z0: slot direction must be a string, not int",
+        ),
+        "stratum-int": (
+            "validate", ("components", 0, "points", 0, "stratum"), 2, "main@z0 stratum must be a string, not int"
+        ),
+        "trivial-string": ("validate", ("components", 2, "trivial"), "no", "g1 trivial = 'no' is not a boolean"),
+        "trivial-int": ("validate", ("components", 0, "trivial"), 0, "main trivial = 0 is not a boolean"),
+        "formal-string": (
+            "validate", ("components", 0, "points", 0, "slots", 0, "formal"), "false",
+            "main@z0: d1 formal = 'false' is not a boolean",
+        ),
         "glue-levels-list": ("glue", ("levels",), [], "levels = [] is not an object"),
         "glue-nodes-object": ("glue", ("nodes",), {}, "nodes = {} is not a list"),
         "glue-directions-object": ("glue", ("nodes", 0, "directions"), {}, "x directions = {} is not a list"),
+        "glue-node-list": ("glue", ("nodes", 0), [], "node = [] is not an object"),
+        "glue-direction-list": ("glue", ("nodes", 0, "directions", 0), [], "x direction = [] is not an object"),
+        "glue-node-id-int": ("glue", ("nodes", 0, "id"), 1, "node id must be a string, not int"),
+        "glue-direction-int": (
+            "glue", ("nodes", 0, "directions", 0, "direction"), 1, "x: direction must be a string, not int"
+        ),
     }
+    # a map-type case is run through every subcommand that loads a map type
+    COMMANDS = {"validate": [["validate"], ["levels"], ["dim", "--dimX", "4"]], "glue": [["glue"]]}
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_exit_2(self, capsys, tmp_path, case):
         command, path, value, message = self.CASES[case]
         obj = json.loads(CATALOG["neck2"].text()) if command == "validate" else copy.deepcopy(_GLUE_PAYLOAD)
+        assert command == "glue" or [c["id"] for c in obj["components"]][:3] == ["main", "bubble", "g1"]
         file = _write_with(tmp_path, obj, path, value)
-        code, out, err = invoke(capsys, command, str(file))
         what = "map-type" if command == "validate" else "gluing"
-        assert (code, out) == (2, "")
-        assert err == f"error: malformed {what} file: {message}\n"
+        for argv in self.COMMANDS[command]:
+            code, out, err = invoke(capsys, argv[0], str(file), *argv[1:])
+            assert (code, out) == (2, ""), argv
+            assert err == f"error: malformed {what} file: {message}\n"
+
+    def test_null_stratum_still_loads(self):
+        obj = json.loads(CATALOG["neck2"].text())
+        obj["components"][0]["points"][0]["stratum"] = None
+        assert mp.maptype_from_dict(obj).record("main@z0").stratum is None
 
     @pytest.mark.parametrize("command", ["validate", "levels"])
     def test_divisor_file_given_as_map_type(self, capsys, fixture_file, command):

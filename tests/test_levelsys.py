@@ -4,6 +4,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncd_moduli import levelsys, maptype
 from ncd_moduli.dimension import stratum_codim
@@ -26,7 +28,7 @@ from ncd_moduli.levelsys import (
     torus_dim,
 )
 from ncd_moduli.maptype import Component, MapType, Node, check_broken_cylinders, check_naive, validate_structure
-from oracle_helpers import random_value
+from oracle_helpers import random_value, reference_beta_relations
 
 
 def _c(q):
@@ -188,12 +190,13 @@ class TestAnalysedOnce:
         assert sorted(f.base_id for _, f in walks) == sorted(f.base_id for f in mt.fibers)
 
     def test_level_matrix_nullspace_once(self, monkeypatch):
+        # the level matrix is eliminated once across torus_dim + beta_relations + torus_dim
         sys = build_system(neck2())
-        calls = _counting(monkeypatch, levelsys, "rational_nullspace")
+        calls = _counting(monkeypatch, levelsys, "_rref")
         assert torus_dim(sys) == 1
         assert len(beta_relations(sys)) == 1
         assert torus_dim(sys) == 1
-        assert sum(1 for (rows,) in calls if len(rows) == len(sys.equations)) == 1
+        assert sum(1 for (rows,) in calls if rows == sys.rows()) == 1
 
 
 class TestTorusDim:
@@ -260,6 +263,68 @@ class TestBetaRelations:
         for build in [neck1a, neck1b, neck2, neck3, smooth_level_one]:
             sys = build_system(build())
             assert len(beta_relations(sys)) == len(sys.betas) - torus_dim(sys)
+
+
+def _twin(sys: LevelSystem, k: int = 0) -> LevelSystem:
+    """sys with equation k repeated at twice its multiplicity: no positive solution."""
+    eq = sys.equations[k]
+    twin = dataclasses.replace(eq, multiplicity=2 * eq.multiplicity)
+    return dataclasses.replace(sys, equations=sys.equations + (twin,))
+
+
+@st.composite
+def level_systems(draw) -> LevelSystem:
+    """Small level systems over uniform or multi betas, with 0-6 equations.
+
+    An equation may have no nodes, which makes a row of one sign (-b(1)
+    alone at level 1); an alpha may lie in no equation.  Half the systems
+    with equations get an infeasible twin equation.
+    """
+    alphas = tuple(f"a{i}" for i in range(draw(st.integers(0, 4))))
+    if draw(st.booleans()):
+        betas = tuple(range(1, draw(st.integers(0, 4)) + 1))
+        directions = ()
+        tops = {d: len(betas) for d in ("d1", "d2")}
+    else:
+        bounds = {"c1": draw(st.integers(0, 3)), "c2": draw(st.integers(0, 3))}
+        betas = tuple((c, l) for c, b in sorted(bounds.items()) for l in range(1, b + 1))
+        directions = (("d1", "c1"), ("d2", "c2"), ("d3", "c1"))
+        tops = {d: bounds[c] for d, c in directions}
+    usable = sorted(d for d, top in tops.items() if top)
+    equations = ()
+    if usable:
+        equation = st.sampled_from(usable).flatmap(
+            lambda d: st.builds(
+                LevelEquation,
+                st.just("x"),
+                st.just(d),
+                st.integers(1, tops[d]),
+                st.lists(st.sampled_from(alphas), max_size=3).map(tuple) if alphas else st.just(()),
+                st.integers(1, 3),
+            )
+        )
+        equations = tuple(draw(st.lists(equation, max_size=6)))
+    sys = LevelSystem(alphas, betas, equations, directions)
+    if equations and draw(st.booleans()):
+        sys = _twin(sys, draw(st.integers(0, len(equations) - 1)))
+    return sys
+
+
+class TestBetaRelationsOracle:
+    """torus_dim and beta_relations against the two-kernel route of
+    ``reference_beta_relations``."""
+
+    def test_fixtures_and_copies_with_twins(self):
+        systems = [build_system(b()) for b in (neck1a, neck1b, neck2, neck3, smooth_level_one)]
+        systems += [build_system(disjoint_copies(neck2(), n)) for n in (2, 8, 80)]
+        for sys in systems:
+            for s in (sys, _twin(sys)):
+                assert (torus_dim(s), beta_relations(s)) == reference_beta_relations(s)
+
+    @settings(max_examples=300, deadline=None)
+    @given(level_systems())
+    def test_random_systems(self, sys):
+        assert (torus_dim(sys), beta_relations(sys)) == reference_beta_relations(sys)
 
 
 class TestScalingInvariance:
