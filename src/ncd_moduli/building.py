@@ -12,7 +12,7 @@ l with the infinity-side label at level l+1 in the same direction.
 from __future__ import annotations
 
 import itertools
-import json
+from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -381,5 +381,59 @@ def building_to_dict(b: LevelBuilding) -> dict:
     }
 
 
+def _list_text(items: Sequence[str], indent: str) -> str:
+    """A JSON list of encoded items, as ``json.dumps(indent=2)`` writes it at ``indent``."""
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
 def dumps(b: LevelBuilding) -> str:
-    return json.dumps(building_to_dict(b), indent=2, sort_keys=True) + "\n"
+    """The building as indented JSON text.
+
+    The text is byte-identical to
+    ``json.dumps(building_to_dict(b), indent=2, sort_keys=True) + "\n"``:
+    the same keys in sorted order, two-space indentation, ``[]`` for an empty
+    list and ``{}`` for an empty object, strings escaped to ASCII by the
+    encoder ``json.dumps`` uses, and integers written by ``str``.  It is
+    written from the labels directly, without building that dict, because
+    ``indent`` turns off the C encoder of ``json.dumps``.
+    """
+    enc = encode_basestring_ascii
+    level_lists: dict[tuple[tuple[int, ...], str], str] = {}
+
+    def levels(values: tuple[int, ...], indent: str) -> str:
+        text = level_lists.get((values, indent))
+        if text is None:
+            text = level_lists[values, indent] = _list_text(list(map(str, values)), indent)
+        return text
+
+    def label(x: DivisorStratumLabel, indent: str) -> str:
+        i = indent + "  "
+        return (
+            f'{{\n{i}"levels": {levels(x.levels, i)},\n{i}"sign": {x.sign!s},\n'
+            f'{i}"slot": {x.slot!s},\n{i}"stratum": {enc(x.stratum)}\n{indent}}}'
+        )
+
+    def piece(r: PieceRecord) -> str:
+        i = "      "
+        return (
+            f'{{\n{i}"base_components": {r.base_components!s},\n{i}"depth": {r.depth!s},\n'
+            f'{i}"levels": {levels(r.label.levels, i)},\n{i}"orbit_size": {r.orbit_size!s},\n'
+            f'{i}"stratum": {enc(r.label.stratum)}\n    }}'
+        )
+
+    components = sorted(dict(b.levels_by_component).items())
+    table = "{}" if not components else (
+        "{\n" + ",\n".join(f"    {enc(k)}: {v!s}" for k, v in components) + "\n  }"
+    )
+    pairs = [_list_text([label(p, "      "), label(q, "      ")], "    ") for p, q in b.attaching]
+    return (
+        f'{{\n  "attaching": {_list_text(pairs, "  ")},\n'
+        f'  "divisor_strata": {_list_text([label(x, "    ") for x in b.divisor_strata], "  ")},\n'
+        f'  "levels_by_component": {table},\n'
+        f'  "m": {b.m!s},\n'
+        f'  "mode": {enc(b.mode)},\n'
+        f'  "pieces": {_list_text([piece(r) for r in b.pieces], "  ")}\n}}\n'
+    )

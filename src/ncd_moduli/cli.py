@@ -6,6 +6,9 @@ gluing problems.  ``--json`` switches to a machine envelope
 {"version": "ncd-moduli/1", "command": ..., "result": ...}; file arguments
 accept ``-`` for standard input.  Exit codes: 0 success, 1 validation
 failure, 2 malformed input.
+
+Each subcommand imports the library modules it runs when it runs, after
+its input file is read and parsed, so a call pays only for its own modules.
 """
 
 from __future__ import annotations
@@ -13,13 +16,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from . import building as bd
-from . import dimension as dm
-from . import divisor as dv
-from . import levelsys as ls
-from . import maptype as mp
-from .fixtures import CATALOG
+if TYPE_CHECKING:
+    from .divisor import CombinatorialDivisor
+    from .maptype import MapType
 
 FORMAT_VERSION = "ncd-moduli/1"
 
@@ -48,16 +49,20 @@ def _parse_json(text: str, what: str) -> dict:
     return obj
 
 
-def _load_divisor(path: str) -> dv.CombinatorialDivisor:
+def _load_divisor(path: str) -> CombinatorialDivisor:
     obj = _parse_json(_read_text(path), "divisor file")
+    from . import divisor as dv
+
     try:
         return dv.divisor_from_dict(obj)
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"malformed divisor file: {e}") from e
 
 
-def _load_maptype(path: str) -> mp.MapType:
+def _load_maptype(path: str) -> MapType:
     obj = _parse_json(_read_text(path), "map-type file")
+    from . import maptype as mp
+
     try:
         return mp.maptype_from_dict(obj)
     except (KeyError, TypeError, ValueError) as e:
@@ -81,6 +86,8 @@ def _emit(args, command: str, result, human_lines) -> None:
 
 def _cmd_validate(args) -> int:
     mt = _load_maptype(args.file)
+    from . import maptype as mp
+
     report = {}
     report["structure"] = mp.validate_structure(mt)
     report["naive"] = mp.check_naive(mt) if not report["structure"] else None
@@ -130,6 +137,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_strata(args) -> int:
     d = _load_divisor(args.file)
+    from . import divisor as dv
+
     problems = dv.validate(d)
     if problems:
         _emit(args, "strata", {"valid": False, "violations": problems},
@@ -158,6 +167,9 @@ def _cmd_strata(args) -> int:
 
 def _cmd_building(args) -> int:
     d = _load_divisor(args.file)
+    from . import building as bd
+    from . import divisor as dv
+
     problems = dv.validate(d)
     if problems:
         raise InputError("invalid divisor: " + "; ".join(problems))
@@ -170,7 +182,10 @@ def _cmd_building(args) -> int:
     except ValueError as e:
         raise InputError(str(e)) from e
     if args.json:
-        _emit(args, "building", bd.building_to_dict(b), ())
+        # _emit's envelope around the writer's text, the result indented one
+        # step further: a JSON string token holds no raw newline
+        result = bd.dumps(b)[:-1].replace("\n", "\n  ")
+        print(f'{{\n  "command": "building",\n  "result": {result},\n  "version": "{FORMAT_VERSION}"\n}}')
         return 0
     classes = b.piece_classes()
     lines = [
@@ -189,8 +204,12 @@ def _cmd_building(args) -> int:
 
 
 def _cmd_dim(args) -> int:
+    from . import dimension as dm
+
     if args.file:
         mt = _load_maptype(args.file)
+        from . import levelsys as ls
+
         if args.dimX is None:
             raise InputError("--dimX is required with a map-type file")
         try:
@@ -233,6 +252,8 @@ def _beta_label(key) -> str:
 
 def _cmd_levels(args) -> int:
     mt = _load_maptype(args.file)
+    from . import levelsys as ls
+
     try:
         sys_ = ls.build_system(mt)
     except ls.LevelSystemError as e:
@@ -278,6 +299,8 @@ def _cmd_levels(args) -> int:
 
 def _cmd_glue(args) -> int:
     obj = _parse_json(_read_text(args.file), "gluing file")
+    from . import levelsys as ls
+
     try:
         gp = ls.gluing_from_dict(obj)
     except (KeyError, TypeError, ValueError) as e:
@@ -316,6 +339,8 @@ def _cmd_glue(args) -> int:
 
 
 def _cmd_example(args) -> int:
+    from .fixtures import CATALOG
+
     if args.name not in CATALOG:
         raise InputError(
             f"unknown fixture {args.name!r}; available: {', '.join(sorted(CATALOG))}"

@@ -9,10 +9,10 @@ codimension is twice the number of independent rescaling parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .levelsys import build_system, torus_dim
-from .maptype import MapType
+if TYPE_CHECKING:
+    from .maptype import MapType
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,8 @@ def enhanced_balance(depths: Sequence[int]) -> int:
 
 def stratum_codim(mt: MapType) -> int:
     """Real codimension of the stratum: twice the rescaling-torus dimension."""
+    from .levelsys import build_system, torus_dim
+
     return 2 * torus_dim(build_system(mt))
 
 

@@ -151,15 +151,25 @@ def build_system(mt: MapType) -> LevelSystem:
             for comp, bound in sorted(mt.levels_by_component)
             for l in range(1, bound + 1)
         ]
+    known = set(betas)
     equations: list[LevelEquation] = []
     alphas: set[str] = set()
     for walk in mt.walks:
         f = walk.fiber
         mults = dict(walk.multiplicities)
         for step in walk.steps:
-            if mt.building_mode != "uniform" and step.direction not in dir_table:
+            if mt.building_mode == "uniform":
+                key = step.level
+            elif step.direction in dir_table:
+                key = (dir_table[step.direction], step.level)
+            else:
                 raise LevelSystemError(
                     f"{f.base_id}: direction {step.direction} has no scaling component"
+                )
+            if key not in known:
+                raise LevelSystemError(
+                    f"{f.base_id}: direction {step.direction} reaches level {step.level}, "
+                    f"which the building does not have"
                 )
             equations.append(
                 LevelEquation(

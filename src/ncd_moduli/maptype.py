@@ -16,6 +16,7 @@ Every validator and the level system read these instead of walking again.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
@@ -694,6 +695,10 @@ def _levels_from_dict(value, field: str) -> tuple[tuple[str, int], ...]:
 def maptype_from_dict(obj: Mapping) -> MapType:
     """Load a map type; ``ValueError`` names a field of the wrong JSON type."""
     building = _json_object(obj.get("building", {}), "building")
+    mode = building.get("mode", "uniform")
+    if mode not in ("uniform", "multi"):
+        raise ValueError(f"building mode = {reprlib.repr(mode)} is not 'uniform' or 'multi'")
+    directions = _json_object(obj.get("directions", {}), "directions")
     pairing = _json_object(obj.get("pairing", {}), "pairing")
     comps = []
     for c in _json_list(obj.get("components", []), "components"):
@@ -710,10 +715,10 @@ def maptype_from_dict(obj: Mapping) -> MapType:
             )
         )
     return MapType(
-        building_mode=building.get("mode", "uniform"),
+        building_mode=mode,
         m=_json_int(building.get("m", 0), "building m"),
         levels_by_component=_levels_from_dict(building.get("levels", {}), "building levels"),
-        direction_components=tuple(_json_object(obj.get("directions", {}), "directions").items()),
+        direction_components=tuple((d, _json_str(c, f"directions {d}")) for d, c in directions.items()),
         components=tuple(comps),
         nodes=tuple(_node_from_dict(n) for n in _json_list(obj.get("nodes", []), "nodes")),
         c1a=_json_int(pairing.get("c1A", 0), "pairing c1A"),

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from ncd_moduli.building import (
     building_to_dict,
     collapse,
     divisor_strata,
+    dumps,
     rescaled_disk,
     torus_weight,
 )
@@ -280,6 +282,82 @@ class TestReferenceBuilder:
         levels = data.draw(st.lists(st.integers(0, 3), min_size=len(ids), max_size=len(ids)))
         want = reference_build(d, "multi", dict(zip(ids, levels)))
         assert building_to_dict(build_multi(d, levels)) == building_to_dict(want)
+
+
+def _renamed(d: CombinatorialDivisor, names) -> CombinatorialDivisor:
+    """d with each component and stratum id s replaced by names[s]."""
+    return CombinatorialDivisor(
+        d.dim_x,
+        tuple(BranchComponent(names[c.id], c.name) for c in d.components),
+        tuple(
+            Stratum(
+                names[s.id],
+                s.depth,
+                tuple(names[x] for x in s.slots),
+                s.normalization_components,
+                s.monodromy,
+                frozenset(names[x] for x in s.boundary),
+            )
+            for s in d.strata
+        ),
+    )
+
+
+@st.composite
+def escaped_divisors(draw):
+    """A divisor from ``divisors`` whose ids are arbitrary text: quotes,
+    backslashes, control characters and non-ASCII characters included."""
+    d = draw(divisors)
+    ids = sorted({c.id for c in d.components} | {s.id for s in d.strata})
+    names = draw(st.lists(st.text(min_size=1, max_size=4), min_size=len(ids), max_size=len(ids), unique=True))
+    return _renamed(d, dict(zip(ids, names)))
+
+
+def _reference_dumps(b) -> str:
+    return json.dumps(building_to_dict(b), indent=2, sort_keys=True) + "\n"
+
+
+class TestDumps:
+    """``dumps`` writes the text ``json.dumps`` writes for ``building_to_dict``."""
+
+    @given(st.integers(1, 4), st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_local_model(self, n, m):
+        b = build(local_model(n), m)
+        assert dumps(b) == _reference_dumps(b)
+
+    @given(divisors, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_build_multi(self, d, data):
+        ids = d.component_ids()
+        levels = data.draw(st.lists(st.integers(0, 3), min_size=len(ids), max_size=len(ids)))
+        b = build_multi(d, levels)
+        assert dumps(b) == _reference_dumps(b)
+
+    @given(one_component_divisors(), st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_monodromy(self, d, m):
+        b = build(d, m)
+        assert dumps(b) == _reference_dumps(b)
+
+    @given(escaped_divisors(), st.integers(0, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_escaped_ids(self, d, m):
+        b = build(d, m)
+        assert dumps(b) == _reference_dumps(b)
+
+    def test_examples(self):
+        d = self_crossing_curve()
+        swapped = CombinatorialDivisor(
+            d.dim_x, d.components, tuple(s if s.depth < 2 else Stratum(s.id, 2, s.slots, monodromy=((1, 0),)) for s in d.strata)
+        )
+        escaped = build(_renamed(swapped, {"X": "X", "c": 'q"\\\n\u00e9', "c,c": "\x00"}), 3)
+        assert any(r.orbit_size == 2 for r in escaped.pieces)
+        text = dumps(escaped)
+        assert r'"q\"\\\n\u00e9"' in text and r'"\u0000"' in text
+        unequal = build_multi(simple_crossings(6, ["a", "b", "c"], {frozenset("ab"): 2}), [0, 2, 3])
+        for b in (build(local_model(1), 0), unequal, escaped):
+            assert dumps(b) == _reference_dumps(b)
 
 
 class TestOrbitsOnce:

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from ncd_moduli import building as bd
 from ncd_moduli import maptype as mp
 from ncd_moduli.cli import run
 from ncd_moduli.fixtures import CATALOG
@@ -60,6 +61,15 @@ class TestBuilding:
         result = json.loads(out)["result"]
         deep = [p for p in result["pieces"] if p["depth"] == 2]
         assert len(deep) == 4
+
+    @pytest.mark.parametrize("m", ["0", "2", "3"])
+    @pytest.mark.parametrize("name", sorted(n for n, e in CATALOG.items() if e.kind == "divisor"))
+    def test_json_matches_dict_envelope(self, capsys, fixture_file, name, m):
+        # the golden table holds --m 1 only
+        code, out, _ = invoke(capsys, "--json", "building", fixture_file(name), "--m", m)
+        b = bd.build(CATALOG[name].build(), int(m))
+        envelope = {"version": "ncd-moduli/1", "command": "building", "result": bd.building_to_dict(b)}
+        assert (code, out) == (0, json.dumps(envelope, indent=2, sort_keys=True) + "\n")
 
     def test_multi_rejection(self, capsys, fixture_file):
         code, _, err = invoke(
@@ -449,6 +459,9 @@ class TestShapes:
         "directions-list": ("validate", ("directions",), [], "directions = [] is not an object"),
         "component-levels-list": ("validate", ("components", 0, "levels"), [], "main levels = [] is not an object"),
         "building-levels-list": ("validate", ("building", "levels"), [1], "building levels = [1] is not an object"),
+        "mode-int": ("validate", ("building", "mode"), 1, "building mode = 1 is not 'uniform' or 'multi'"),
+        "mode-unknown": ("validate", ("building", "mode"), "Multi", "building mode = 'Multi' is not 'uniform' or 'multi'"),
+        "direction-component-int": ("validate", ("directions", "d1"), 1, "directions d1 must be a string, not int"),
         "components-object": ("validate", ("components",), {}, "components = {} is not a list"),
         "component-string": ("validate", ("components", 0), "x", "component = 'x' is not an object"),
         "points-object": ("validate", ("components", 0, "points"), {}, "main points = {} is not a list"),
@@ -515,6 +528,32 @@ class TestShapes:
         code, out, err = invoke(capsys, command, fixture_file("ex0-n3"))
         assert (code, out) == (2, "")
         assert err == "error: malformed map-type file: component = 'h1' is not an object\n"
+
+
+class TestLevelPastBuilding:
+    """A walk step at a level the building does not have stops the level system."""
+
+    # (fixture, path to the field, value, message)
+    CASES = {
+        "neck1b-m1": (
+            "neck1b", ("building", "m"), 1, "marked:f12@x1: direction d1 reaches level 2, which the building does not have"
+        ),
+        "neck2-no-building": (
+            "neck2", ("building",), {"levels": {"1": 1}},
+            "marked:g2@x1: direction d1 reaches level 1, which the building does not have",
+        ),
+        "neck2-direction-without-levels": (
+            "neck2", ("directions", "d1"), "v3",
+            "marked:g2@x1: direction d1 reaches level 1, which the building does not have",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_levels_exit_1_dim_exit_2(self, capsys, tmp_path, case):
+        name, path, value, message = self.CASES[case]
+        file = str(_write_with(tmp_path, json.loads(CATALOG[name].text()), path, value))
+        assert invoke(capsys, "levels", file) == (1, "", f"level system cannot be built: {message}\n")
+        assert invoke(capsys, "dim", file, "--dimX", "4") == (2, "", f"error: {message}\n")
 
 
 class TestTopLevel:
@@ -688,6 +727,49 @@ class TestProcessLevel:
         )
         assert strata.returncode == 0
         assert "resolution 3, cover 6, next divisor 3" in strata.stdout
+
+
+_IMPORTS_SCRIPT = """
+import contextlib, io, json, sys
+from ncd_moduli import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.run(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("ncd_moduli."))]))
+"""
+
+
+class TestImports:
+    """Each subcommand, run once in a fresh interpreter, loads only the
+    modules it runs; an in-process test would see every module some other
+    test had already imported."""
+
+    # (argv, exit code, modules that must not be loaded); @name is the fixture
+    # file of that name, @missing a file that does not exist and @broken the
+    # start of neck2's text
+    CASES = {
+        "strata": (["strata", "@ex4dim"], 0, {"maptype", "levelsys", "fixtures"}),
+        "building": (["building", "@ex4dim", "--m", "2"], 0, {"maptype", "levelsys", "fixtures"}),
+        "building-json": (["--json", "building", "@ex0-n4", "--m", "2"], 0, {"maptype", "levelsys", "fixtures"}),
+        "validate": (["validate", "@neck2"], 0, {"building", "levelsys", "fixtures"}),
+        "dim-flags": (
+            ["dim", "--c1A", "1", "--dimX", "4", "--chi", "2", "--ell", "0", "--AV", "1"], 0,
+            {"levelsys", "maptype", "fixtures"},
+        ),
+        "missing-file": (["levels", "@missing"], 2, {"levelsys", "maptype"}),
+        "broken-json": (["validate", "@broken"], 2, {"levelsys", "maptype"}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_loaded_modules(self, tmp_path, fixture_file, case):
+        argv, want_code, absent = self.CASES[case]
+        files = {"missing": str(tmp_path / "missing.json"), "broken": str(tmp_path / "broken.json")}
+        (tmp_path / "broken.json").write_text(CATALOG["neck2"].text()[:100], encoding="utf-8")
+        argv = [(files.get(a[1:]) or fixture_file(a[1:])) if a.startswith("@") else a for a in argv]
+        proc = subprocess.run([sys.executable, "-c", _IMPORTS_SCRIPT, *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = json.loads(proc.stdout)
+        assert code == want_code
+        assert not {f"ncd_moduli.{m}" for m in absent} & set(loaded)
 
 
 _NO_SYMPY_SCRIPT = """
