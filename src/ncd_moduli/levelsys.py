@@ -35,12 +35,7 @@ from .exactnum import (
 )
 from .exactnum.linalg import _rref
 from .exactnum.values import _json_int, _json_int_key, _json_list, _json_object, _json_str
-from .maptype import (
-    MapType,
-    check_broken_cylinders,
-    check_naive,
-    validate_structure,
-)
+from .maptype import MapType, check_broken_cylinders
 
 BetaKey = Union[int, tuple[str, int]]
 
@@ -67,6 +62,10 @@ class LevelSystem:
 
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """Integer coefficient rows over the unknowns alphas + betas."""
+        return self._rows
+
+    @cached_property
+    def _rows(self) -> tuple[tuple[int, ...], ...]:
         a_index = {a: i for i, a in enumerate(self.alphas)}
         beta_column = self._beta_columns()
         na = len(self.alphas)
@@ -138,8 +137,12 @@ class LevelSystem:
 
 
 def build_system(mt: MapType) -> LevelSystem:
-    """Assemble the level system of a validated map type."""
-    problems = validate_structure(mt) or check_naive(mt) or check_broken_cylinders(mt)
+    """The level system of a validated map type, assembled once per ``MapType``."""
+    return mt._level_system
+
+
+def _assemble(mt: MapType) -> LevelSystem:
+    problems = mt._structure or mt._naive or check_broken_cylinders(mt)
     if problems:
         raise LevelSystemError("; ".join(problems))
     dir_table = dict(mt.direction_components)

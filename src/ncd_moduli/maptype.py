@@ -8,9 +8,18 @@ formal on directions where a trivial component is frozen at zero or
 infinity).  Validators implement the structural, naive, broken-cylinder and
 enhanced matching conditions, plus relative stability.
 
-A ``MapType`` computes each fact about itself once, on first use: the id
-lookups, the contraction (``fibers``) and each fiber's walk (``walks``).
-Every validator and the level system read these instead of walking again.
+A ``MapType`` computes each fact about itself once, on first use:
+
+- the id lookups;
+- the contraction (``fibers``) and each fiber's walk (``walks``), which
+  every validator and the level system read instead of walking again;
+- the reports of ``validate_structure`` and ``check_naive``, each returned
+  as a fresh list;
+- its level system, which ``levelsys.build_system`` returns, so
+  ``torus_dim``, ``beta_relations`` and ``stratum_codim`` share one
+  elimination of its level matrix.
+
+A computation that raises is not kept: it raises again on every call.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ import json
 import reprlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .exactnum import (
     ExactNonzeroComplex,
@@ -28,6 +37,9 @@ from .exactnum import (
     solve_power_system,
 )
 from .exactnum.values import _json_bool, _json_int, _json_list, _json_object, _json_str
+
+if TYPE_CHECKING:
+    from .levelsys import LevelSystem
 
 
 @dataclass(frozen=True)
@@ -152,6 +164,23 @@ class MapType:
         """``walk_fiber`` of each fiber, in the order of ``fibers``."""
         return tuple(walk_fiber(self, f) for f in self.fibers)
 
+    @cached_property
+    def _structure(self) -> tuple[str, ...]:
+        """The report of ``validate_structure``."""
+        return tuple(_structure_violations(self))
+
+    @cached_property
+    def _naive(self) -> tuple[str, ...]:
+        """The report of ``check_naive``."""
+        return tuple(_naive_violations(self))
+
+    @cached_property
+    def _level_system(self) -> LevelSystem:
+        """``build_system(self)``; raises its LevelSystemError on every read."""
+        from . import levelsys
+
+        return levelsys._assemble(self)
+
 
 # -- contraction to the base curve ------------------------------------------------
 
@@ -256,6 +285,10 @@ def stretch(mt: MapType) -> dict[str, int]:
 
 
 def validate_structure(mt: MapType) -> list[str]:
+    return list(mt._structure)
+
+
+def _structure_violations(mt: MapType) -> list[str]:
     out: list[str] = []
     cids = [c.id for c in mt.components]
     if len(set(cids)) != len(cids):
@@ -325,6 +358,10 @@ def validate_structure(mt: MapType) -> list[str]:
 
 
 def check_naive(mt: MapType) -> list[str]:
+    return list(mt._naive)
+
+
+def _naive_violations(mt: MapType) -> list[str]:
     out: list[str] = []
     for n in mt.nodes:
         a, b = n.ends

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from ncd_moduli import building as bd
+from ncd_moduli import levelsys as ls
 from ncd_moduli import maptype as mp
 from ncd_moduli.cli import run
 from ncd_moduli.fixtures import CATALOG
@@ -554,6 +555,16 @@ class TestLevelPastBuilding:
         file = str(_write_with(tmp_path, json.loads(CATALOG[name].text()), path, value))
         assert invoke(capsys, "levels", file) == (1, "", f"level system cannot be built: {message}\n")
         assert invoke(capsys, "dim", file, "--dimX", "4") == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_error_on_every_build(self, tmp_path, case):
+        name, path, value, message = self.CASES[case]
+        file = _write_with(tmp_path, json.loads(CATALOG[name].text()), path, value)
+        mt = mp.loads(file.read_text(encoding="utf-8"))
+        for _ in range(2):
+            with pytest.raises(ls.LevelSystemError) as error:
+                ls.build_system(mt)
+            assert str(error.value) == message
 
 
 class TestTopLevel:

@@ -27,7 +27,16 @@ from ncd_moduli.levelsys import (
     solve_gluing,
     torus_dim,
 )
-from ncd_moduli.maptype import Component, MapType, Node, check_broken_cylinders, check_naive, validate_structure
+from ncd_moduli.maptype import (
+    Component,
+    MapType,
+    Node,
+    check_broken_cylinders,
+    check_enhanced,
+    check_naive,
+    check_relative_stability,
+    validate_structure,
+)
 from oracle_helpers import random_value, reference_beta_relations
 
 
@@ -197,6 +206,78 @@ class TestAnalysedOnce:
         assert len(beta_relations(sys)) == 1
         assert torus_dim(sys) == 1
         assert sum(1 for (rows,) in calls if rows == sys.rows()) == 1
+
+    def test_validate_levels_dim_classes_once(self, monkeypatch):
+        structure = _counting(monkeypatch, maptype, "_structure_violations")
+        naive = _counting(monkeypatch, maptype, "_naive_violations")
+        assembled = _counting(monkeypatch, levelsys, "LevelSystem")
+        rrefs = _counting(monkeypatch, levelsys, "_rref")
+        mt = neck2()
+        # validate
+        assert validate_structure(mt) == [] and check_naive(mt) == [] and check_broken_cylinders(mt) == []
+        assert check_enhanced(mt).satisfiable and check_relative_stability(mt)
+        # levels
+        sys = build_system(mt)
+        assert feasible_positive(sys) is not None
+        assert torus_dim(sys) == 1 and len(beta_relations(sys)) == 1
+        # dim, then the rate classes
+        assert stratum_codim(mt) == 2
+        assert len(asymptotic_classes(mt)) == 1
+        assert (len(structure), len(naive), len(assembled)) == (1, 1, 1)
+        assert sum(1 for (rows,) in rrefs if rows == sys.rows()) == 1
+        assert sys.rows() is sys.rows()
+
+
+def _analysis(mt: MapType) -> tuple:
+    sys = build_system(mt)
+    return (
+        validate_structure(mt),
+        check_naive(mt),
+        check_broken_cylinders(mt),
+        sys,
+        sys.rows(),
+        feasible_positive(sys),
+        torus_dim(sys),
+        beta_relations(sys),
+        stratum_codim(mt),
+        asymptotic_classes(mt),
+    )
+
+
+class TestAnalysisCache:
+    def test_returned_reports_are_copies(self):
+        bad = dataclasses.replace(neck2(), av=neck2().av + 1)
+        report = validate_structure(bad)
+        assert report == ["marked contact degree 5 != A.V = 6"]
+        report.clear()
+        assert validate_structure(bad) == ["marked contact degree 5 != A.V = 6"]
+        mt = neck2()
+        z0, z1 = mt.nodes[:2]
+        swapped = dataclasses.replace(
+            mt, nodes=(Node(z0.id, (z0.ends[0], z1.ends[1])), Node(z1.id, (z1.ends[0], z0.ends[1]))) + mt.nodes[2:]
+        )
+        report = check_naive(swapped)
+        assert len(report) == 2
+        report.append("extra")
+        assert len(check_naive(swapped)) == 2
+
+    def test_replaced_type_gets_its_own_analysis(self):
+        mt = neck1b()
+        assert validate_structure(mt) == []
+        sys = build_system(mt)
+        low = dataclasses.replace(mt, m=1)
+        assert validate_structure(low) == [] and check_naive(low) == []
+        with pytest.raises(levelsys.LevelSystemError, match="reaches level 2, which the building does not have"):
+            build_system(low)
+        assert build_system(mt) is sys
+
+    @pytest.mark.parametrize("build", [smooth_level_one, neck1a, neck1b, neck2, neck3])
+    def test_cached_analysis_equals_fresh_copy(self, build):
+        mt = build()
+        first = _analysis(mt)
+        again = _analysis(mt)
+        assert again[3] is first[3]
+        assert again == first == _analysis(dataclasses.replace(mt))
 
 
 class TestTorusDim:
