@@ -86,53 +86,20 @@ def _emit(args, command: str, result, human_lines) -> None:
 
 def _cmd_validate(args) -> int:
     mt = _load_maptype(args.file)
-    from . import maptype as mp
+    from dataclasses import asdict
 
-    report = {}
-    report["structure"] = mp.validate_structure(mt)
-    report["naive"] = mp.check_naive(mt) if not report["structure"] else None
-    report["broken_cylinders"] = (
-        mp.check_broken_cylinders(mt) if not report["structure"] else None
-    )
-    enhanced_ok = None
-    enhanced_failure = None
-    stable = None
-    if not report["structure"] and not report["naive"] and not report["broken_cylinders"]:
-        try:
-            res = mp.check_enhanced(mt)
-            enhanced_ok = res.satisfiable
-            enhanced_failure = res.failure
-        except ValueError as e:
-            enhanced_ok = False
-            enhanced_failure = str(e)
-        stable = mp.check_relative_stability(mt)
-    ok = (
-        not report["structure"]
-        and not report["naive"]
-        and not report["broken_cylinders"]
-        and enhanced_ok is not False
-        and stable is not False
-    )
-    result = {
-        "valid": ok,
-        "structure": report["structure"],
-        "naive": report["naive"],
-        "broken_cylinders": report["broken_cylinders"],
-        "enhanced": enhanced_ok,
-        "enhanced_failure": enhanced_failure,
-        "relatively_stable": stable,
-        "degree_ok": None if report["structure"] else True,
-    }
-    lines = [f"valid: {ok}"]
+    v = mt.validation
+    result = {**asdict(v), "valid": v.valid, "degree_ok": None if v.structure else True}
+    lines = [f"valid: {v.valid}"]
     for key in ("structure", "naive", "broken_cylinders"):
-        if report[key]:
-            lines += [f"{key} violations:"] + [f"  - {v}" for v in report[key]]
-    if enhanced_ok is not None:
-        lines.append(f"enhanced matching: {'satisfiable' if enhanced_ok else enhanced_failure}")
-    if stable is not None:
-        lines.append(f"relatively stable: {stable}")
+        if result[key]:
+            lines += [f"{key} violations:"] + [f"  - {x}" for x in result[key]]
+    if v.enhanced is not None:
+        lines.append(f"enhanced matching: {'satisfiable' if v.enhanced else v.enhanced_failure}")
+    if v.relatively_stable is not None:
+        lines.append(f"relatively stable: {v.relatively_stable}")
     _emit(args, "validate", result, lines)
-    return 0 if ok else 1
+    return 0 if v.valid else 1
 
 
 def _cmd_strata(args) -> int:
@@ -221,7 +188,7 @@ def _cmd_dim(args) -> int:
         except ls.LevelSystemError as e:
             raise InputError(str(e)) from e
         node_depths = [mt.record(f.start_point).depth for f in mt.fibers if f.kind == "node"]
-        gap = dm.naive_gap(node_depths) if node_depths else 0
+        gap = dm.naive_gap(node_depths)
         result = {
             "expected_dim": dm.expected_dim(inp),
             "naive_gap": gap,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .exactnum.values import _json_int, _json_list, _json_object, _json_str
+from .jsonfields import _json_int, _json_list, _json_object, _json_str
 
 
 @dataclass(frozen=True)

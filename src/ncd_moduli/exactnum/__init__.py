@@ -4,8 +4,9 @@ and integer lattice normal form.
 
 A matrix is a plain sequence of equal-length rows; rows of unequal length
 raise ``ValueError``.  The linear algebra reads ints and ``Fraction`` values;
-the Smith form and the power systems read integers.  ``smith_normal_form``
-returns U, D and V as tuples of int row tuples.
+the Smith form and the power systems read integers.  Any other entry, a
+float or a string among them, raises ``ValueError`` naming it.
+``smith_normal_form`` returns U, D and V as tuples of int row tuples.
 """
 
 from .lattice import elementary_divisors, smith_normal_form

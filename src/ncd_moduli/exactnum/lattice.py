@@ -7,7 +7,7 @@ and enumerates the torsion branches of multiplicative power systems.
 
 from __future__ import annotations
 
-import numbers
+from .linalg import _exact_entry
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -15,9 +15,10 @@ IntMatrix = tuple[tuple[int, ...], ...]
 def _int_entry(x) -> int:
     if type(x) is int:
         return x
-    if isinstance(x, numbers.Rational) and x.denominator == 1:
-        return int(x)
-    raise ValueError(f"matrix entry {x!r} is not an integer")
+    q = _exact_entry(x)
+    if q.denominator != 1:
+        raise ValueError(f"matrix entry {x!r} is not an integer")
+    return int(q)
 
 
 def _int_rows(A) -> list[list[int]]:

@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals.
 
-A matrix is a sequence of equal-length rows of ints or ``Fraction`` values,
-and results are ``Fraction`` values; there is no floating point anywhere.
+A matrix is a sequence of equal-length rows of ints or ``Fraction`` values
+(a float or a string entry raises ``ValueError``), and results are
+``Fraction`` values; there is no floating point anywhere.
 Inside, ``rref`` and the phase-1 simplex share one integer-preserving
 Gauss-Jordan pivot step (``_pivot``, after Bareiss 1968) on sparse rows: each row is scaled once to integers and then held as a
 ``{column: nonzero integer}`` map over a positive denominator, and every
@@ -35,6 +36,7 @@ from collections import defaultdict
 from fractions import Fraction
 from itertools import compress, count
 from math import gcd, lcm
+from numbers import Rational
 from typing import Optional, Sequence
 
 SparseRow = dict[int, int]
@@ -43,17 +45,29 @@ _EXACT = {int, Fraction}
 _ZERO = Fraction(0)
 
 
+def _exact_entry(x):
+    """A matrix entry as an int or a ``Fraction``.
+
+    Ints and Fractions are returned as they are, and any other rational
+    number (a bool, say) as a Fraction.  Anything else, a float or a string
+    among them, raises ``ValueError`` naming the entry; the Smith form reads
+    its entries through this check too.
+    """
+    if type(x) in _EXACT:
+        return x
+    if isinstance(x, Rational):
+        return Fraction(x)
+    raise ValueError(f"matrix entry {x!r} is not an integer or a Fraction")
+
+
 def _integer_rows(rows) -> tuple[list[SparseRow], int]:
     """Each row times the lcm of its denominators, as a sparse map; and the
-    column count.
-
-    Ints and Fractions are read as they are; any other entry goes through
-    ``Fraction()``.
+    column count.  Each entry must pass ``_exact_entry``.
     """
     ints, ncols = [], None
     for row in rows:
         if not _EXACT.issuperset(map(type, row)):
-            row = [Fraction(x) for x in row]
+            row = [_exact_entry(x) for x in row]
         if ncols is None:
             ncols = len(row)
         elif len(row) != ncols:

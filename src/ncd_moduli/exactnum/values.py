@@ -26,6 +26,8 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Mapping, Union
 
+from ..jsonfields import _RATIONAL_DIGITS, _json_int_key
+
 RationalLike = Union[int, str, Fraction]
 
 
@@ -250,8 +252,8 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# A JSON rational's numerator and denominator have at most this many digits.
-_RATIONAL_DIGITS = 1000
+# A JSON rational's numerator and denominator have at most _RATIONAL_DIGITS
+# digits each.
 _RATIONAL = re.compile(rf"[+-]?[0-9]{{1,{_RATIONAL_DIGITS}}}(/[0-9]{{1,{_RATIONAL_DIGITS}}})?")
 
 
@@ -273,55 +275,6 @@ def _json_rational(value, field: str) -> Fraction:
         f"{field} = {reprlib.repr(value)} is not an integer or a fraction p/q "
         f"of at most {_RATIONAL_DIGITS} digits each"
     )
-
-
-def _json_int(value, field: str) -> int:
-    """A JSON integer that is not a bool; anything else raises ``ValueError`` naming ``field``."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"{field} = {reprlib.repr(value)} is not an integer")
-
-
-def _json_str(value, field: str) -> str:
-    """A JSON string; anything else raises ``ValueError`` naming ``field``."""
-    if isinstance(value, str):
-        return value
-    raise ValueError(f"{field} must be a string, not {type(value).__name__}")
-
-
-def _json_bool(value, field: str) -> bool:
-    """A JSON true or false; anything else raises ``ValueError`` naming ``field``."""
-    if isinstance(value, bool):
-        return value
-    raise ValueError(f"{field} = {reprlib.repr(value)} is not a boolean")
-
-
-# An integer object key is written as str() writes an int, so that no two
-# keys of one object name the same integer.
-_INT_KEY = re.compile(rf"0|-?[1-9][0-9]{{0,{_RATIONAL_DIGITS - 1}}}")
-
-
-def _json_int_key(key: str, field: str) -> int:
-    """An object key that is ``str(n)`` for an int n of at most
-    _RATIONAL_DIGITS digits; anything else (a sign '+', a leading zero,
-    spaces, underscores) raises ``ValueError`` naming ``field`` and the key."""
-    if _INT_KEY.fullmatch(key):
-        return int(key)
-    raise ValueError(f"{field} {reprlib.repr(key)} is not a canonical integer of at most {_RATIONAL_DIGITS} digits")
-
-
-def _json_object(value, field: str) -> Mapping:
-    """A JSON object; anything else raises ``ValueError`` naming ``field``."""
-    if isinstance(value, dict):
-        return value
-    raise ValueError(f"{field} = {reprlib.repr(value)} is not an object")
-
-
-def _json_list(value, field: str) -> list:
-    """A JSON list; anything else raises ``ValueError`` naming ``field``."""
-    if isinstance(value, list):
-        return value
-    raise ValueError(f"{field} = {reprlib.repr(value)} is not a list")
 
 
 def coeff_from_json(obj: Mapping) -> ExactNonzeroComplex:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Mapping, Optional
 
 from .exactnum import (
     ExactNonzeroComplex,
@@ -34,10 +34,8 @@ from .exactnum import (
     strict_positive_solution,
 )
 from .exactnum.linalg import _rref
-from .exactnum.values import _json_int, _json_int_key, _json_list, _json_object, _json_str
-from .maptype import MapType, check_broken_cylinders
-
-BetaKey = Union[int, tuple[str, int]]
+from .jsonfields import _json_int, _json_int_key, _json_list, _json_object, _json_str
+from .maptype import BetaKey, MapType
 
 
 class LevelSystemError(ValueError):
@@ -142,41 +140,18 @@ def build_system(mt: MapType) -> LevelSystem:
 
 
 def _assemble(mt: MapType) -> LevelSystem:
-    problems = mt._structure or mt._naive or check_broken_cylinders(mt)
+    v = mt.validation
+    problems = v.structure or v.naive or v.broken_cylinders
     if problems:
         raise LevelSystemError("; ".join(problems))
-    dir_table = dict(mt.direction_components)
-    if mt.building_mode == "uniform":
-        betas: list[BetaKey] = list(range(1, mt.m + 1))
-    else:
-        betas = [
-            (comp, l)
-            for comp, bound in sorted(mt.levels_by_component)
-            for l in range(1, bound + 1)
-        ]
-    known = set(betas)
     equations: list[LevelEquation] = []
     alphas: set[str] = set()
     for walk in mt.walks:
-        f = walk.fiber
         mults = dict(walk.multiplicities)
         for step in walk.steps:
-            if mt.building_mode == "uniform":
-                key = step.level
-            elif step.direction in dir_table:
-                key = (dir_table[step.direction], step.level)
-            else:
-                raise LevelSystemError(
-                    f"{f.base_id}: direction {step.direction} has no scaling component"
-                )
-            if key not in known:
-                raise LevelSystemError(
-                    f"{f.base_id}: direction {step.direction} reaches level {step.level}, "
-                    f"which the building does not have"
-                )
             equations.append(
                 LevelEquation(
-                    base=f.base_id,
+                    base=walk.fiber.base_id,
                     direction=step.direction,
                     level=step.level,
                     nodes=step.nodes,
@@ -186,9 +161,9 @@ def _assemble(mt: MapType) -> LevelSystem:
             alphas.update(step.nodes)
     return LevelSystem(
         tuple(sorted(alphas)),
-        tuple(betas),
+        mt.beta_keys,
         tuple(equations),
-        tuple(sorted(dir_table.items())),
+        tuple(sorted(dict(mt.direction_components).items())),
     )
 
 

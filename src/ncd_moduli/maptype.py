@@ -15,6 +15,10 @@ A ``MapType`` computes each fact about itself once, on first use:
   every validator and the level system read instead of walking again;
 - the reports of ``validate_structure`` and ``check_naive``, each returned
   as a fresh list;
+- ``validation``, the record that ``validate`` prints and the level system
+  is gated on;
+- the building's level unknowns ``beta_keys``, which the walks, relative
+  stability and the level system read through ``beta_key``;
 - its level system, which ``levelsys.build_system`` returns, so
   ``torus_dim``, ``beta_relations`` and ``stratum_codim`` share one
   elimination of its level matrix.
@@ -28,7 +32,7 @@ import json
 import reprlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 from .exactnum import (
     ExactNonzeroComplex,
@@ -36,10 +40,13 @@ from .exactnum import (
     coeff_to_json,
     solve_power_system,
 )
-from .exactnum.values import _json_bool, _json_int, _json_list, _json_object, _json_str
+from .jsonfields import _json_bool, _json_int, _json_list, _json_object, _json_str
 
 if TYPE_CHECKING:
     from .levelsys import LevelSystem
+
+# a level unknown: a uniform building's level, or (scaling component, level)
+BetaKey = Union[int, tuple[str, int]]
 
 
 @dataclass(frozen=True)
@@ -175,11 +182,68 @@ class MapType:
         return tuple(_naive_violations(self))
 
     @cached_property
+    def validation(self) -> Validation:
+        """What ``validate`` reports.  Naive matching and broken cylinders are
+        checked only when the structure is sound, enhanced matching and
+        stability only when all three are clean; a ``ValueError`` from
+        ``check_enhanced`` reads as "not satisfiable", with its text."""
+        structure = self._structure
+        if structure:
+            return Validation(structure)
+        naive, broken = self._naive, tuple(check_broken_cylinders(self))
+        if naive or broken:
+            return Validation(structure, naive, broken)
+        try:
+            enhanced = check_enhanced(self)
+            satisfiable, failure = enhanced.satisfiable, enhanced.failure
+        except ValueError as e:
+            satisfiable, failure = False, str(e)
+        return Validation(structure, naive, broken, satisfiable, failure, check_relative_stability(self))
+
+    @cached_property
+    def beta_keys(self) -> tuple[BetaKey, ...]:
+        """The building's level unknowns: levels 1..m of a uniform building, or
+        (component, 1..bound) for each sorted entry of ``levels_by_component``."""
+        if self.building_mode == "uniform":
+            return tuple(range(1, self.m + 1))
+        return tuple((comp, l) for comp, bound in sorted(self.levels_by_component) for l in range(1, bound + 1))
+
+    @cached_property
+    def _beta_set(self) -> frozenset[BetaKey]:
+        return frozenset(self.beta_keys)
+
+    def beta_key(self, direction: str, level: int) -> Optional[BetaKey]:
+        """The key of ``level`` in ``direction``: the level, or in a multibuilding
+        (the direction's scaling component, level), or None if there is no such
+        component.  The building has that unknown only if the key is in ``beta_keys``."""
+        if self.building_mode == "uniform":
+            return level
+        component = dict(self.direction_components).get(direction)
+        return None if component is None else (component, level)
+
+    @cached_property
     def _level_system(self) -> LevelSystem:
         """``build_system(self)``; raises its LevelSystemError on every read."""
         from . import levelsys
 
         return levelsys._assemble(self)
+
+
+@dataclass(frozen=True)
+class Validation:
+    """The report of ``validate``; a stage that was not checked is None, and
+    the last two are checked only when every earlier stage is clean."""
+
+    structure: tuple[str, ...]
+    naive: Optional[tuple[str, ...]] = None
+    broken_cylinders: Optional[tuple[str, ...]] = None
+    enhanced: Optional[bool] = None
+    enhanced_failure: Optional[str] = None
+    relatively_stable: Optional[bool] = None
+
+    @property
+    def valid(self) -> bool:
+        return bool(self.enhanced and self.relatively_stable)
 
 
 # -- contraction to the base curve ------------------------------------------------
@@ -499,6 +563,12 @@ def walk_fiber(mt: MapType, f: BaseFiber) -> FiberWalk:
         seen_levels = [st.level for st in steps if st.direction == d]
         if len(seen_levels) != len(set(seen_levels)):
             violations.append(f"{f.base_id}: repeated node level in {d}")
+        keys = [mt.beta_key(d, l) for l in seen_levels]
+        if None in keys:
+            violations.append(f"{f.base_id}: direction {d} has no scaling component")
+        for l, key in zip(seen_levels, keys):
+            if key is not None and key not in mt._beta_set:
+                violations.append(f"{f.base_id}: direction {d} reaches level {l}, which the building does not have")
     for nid in f.inner_nodes:
         if nid not in moved:
             violations.append(f"{f.base_id}: node {nid} moves in no direction")
@@ -575,22 +645,9 @@ def check_enhanced(mt: MapType) -> EnhancedResult:
 
 
 def check_relative_stability(mt: MapType) -> bool:
-    """Every level of every scaling direction touches a nontrivial component."""
-    nontrivial = [c for c in mt.components if not c.trivial]
-    if mt.building_mode == "uniform":
-        covered = {l for c in nontrivial for _, l in c.levels if l >= 1}
-        return all(l in covered for l in range(1, mt.m + 1))
-    table = dict(mt.direction_components)
-    covered_pairs = set()
-    for c in nontrivial:
-        for d, l in c.levels:
-            if l >= 1 and d in table:
-                covered_pairs.add((table[d], l))
-    for comp, bound in mt.levels_by_component:
-        for l in range(1, bound + 1):
-            if (comp, l) not in covered_pairs:
-                return False
-    return True
+    """Every level of the building is the level of a nontrivial component in some direction."""
+    covered = {mt.beta_key(d, l) for c in mt.components if not c.trivial for d, l in c.levels}
+    return covered.issuperset(mt.beta_keys)
 
 
 # -- weighted projective evaluation -------------------------------------------------

@@ -188,6 +188,20 @@ class TestValidate:
         assert code == 1
         assert "valid: False" in out
 
+    def test_undecorated_node_is_not_satisfiable(self, capsys, tmp_path):
+        # check_enhanced raises on a node slot with no coefficient; validate
+        # reports that as the enhanced-matching failure, and levels still runs
+        obj = json.loads(CATALOG["neck2"].text())
+        obj["components"][0]["points"][0]["slots"][0]["coeff"] = None
+        path = tmp_path / "undecorated.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        code, out, _ = invoke(capsys, "--json", "validate", str(path))
+        result = json.loads(out)["result"]
+        assert code == 1
+        assert (result["enhanced"], result["enhanced_failure"]) == (False, "z0: undecorated coefficient in d1")
+        assert (result["relatively_stable"], result["valid"]) == (True, False)
+        assert invoke(capsys, "levels", str(path))[0] == 0
+
 
 class TestLevels:
     def test_neck1b(self, capsys, fixture_file):
@@ -532,39 +546,73 @@ class TestShapes:
 
 
 class TestLevelPastBuilding:
-    """A walk step at a level the building does not have stops the level system."""
+    """A walk step at a level the building does not have is a broken-cylinder
+    violation: validate and levels exit 1, dim exits 2, each naming every
+    offending step."""
 
-    # (fixture, path to the field, value, message)
+    # (fixture, path to the field, value, the offending steps)
     CASES = {
         "neck1b-m1": (
-            "neck1b", ("building", "m"), 1, "marked:f12@x1: direction d1 reaches level 2, which the building does not have"
+            "neck1b", ("building", "m"), 1, [
+                "marked:f12@x1: direction d1 reaches level 2, which the building does not have",
+                "marked:f12@x1: direction d2 reaches level 2, which the building does not have",
+                "marked:t2@x2: direction d1 reaches level 2, which the building does not have",
+                "node:bubble@z4|main@z3: direction d2 reaches level 2, which the building does not have",
+            ],
         ),
         "neck2-no-building": (
-            "neck2", ("building",), {"levels": {"1": 1}},
-            "marked:g2@x1: direction d1 reaches level 1, which the building does not have",
+            "neck2", ("building",), {"levels": {"1": 1}}, [
+                "marked:g2@x1: direction d1 reaches level 1, which the building does not have",
+                "marked:g2@x1: direction d2 reaches level 1, which the building does not have",
+                "node:bubble@z0|main@z0: direction d1 reaches level 1, which the building does not have",
+                "node:bubble@z0|main@z0: direction d2 reaches level 1, which the building does not have",
+            ],
         ),
         "neck2-direction-without-levels": (
-            "neck2", ("directions", "d1"), "v3",
-            "marked:g2@x1: direction d1 reaches level 1, which the building does not have",
+            "neck2", ("directions", "d1"), "v3", [
+                "marked:g2@x1: direction d1 reaches level 1, which the building does not have",
+                "node:bubble@z0|main@z0: direction d1 reaches level 1, which the building does not have",
+            ],
+        ),
+        "neck2-direction-without-component": (
+            "neck2", ("directions",), {"d2": "v2"}, [
+                "marked:g2@x1: direction d1 has no scaling component",
+                "node:bubble@z0|main@z0: direction d1 has no scaling component",
+            ],
         ),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_levels_exit_1_dim_exit_2(self, capsys, tmp_path, case):
-        name, path, value, message = self.CASES[case]
+        name, path, value, steps = self.CASES[case]
         file = str(_write_with(tmp_path, json.loads(CATALOG[name].text()), path, value))
+        message = "; ".join(steps)
         assert invoke(capsys, "levels", file) == (1, "", f"level system cannot be built: {message}\n")
         assert invoke(capsys, "dim", file, "--dimX", "4") == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("case", sorted(CASES))
+    def test_validate_exit_1_lists_each_step(self, capsys, tmp_path, case):
+        name, path, value, steps = self.CASES[case]
+        file = str(_write_with(tmp_path, json.loads(CATALOG[name].text()), path, value))
+        code, out, err = invoke(capsys, "--json", "validate", file)
+        assert (code, err) == (1, "")
+        result = json.loads(out)["result"]
+        assert result["valid"] is False
+        assert result["broken_cylinders"] == steps
+        assert (result["structure"], result["naive"], result["enhanced"]) == ([], [], None)
+        code, out, _ = invoke(capsys, "validate", file)
+        assert code == 1
+        assert out == "valid: False\nbroken_cylinders violations:\n" + "".join(f"  - {v}\n" for v in steps)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
     def test_same_error_on_every_build(self, tmp_path, case):
-        name, path, value, message = self.CASES[case]
+        name, path, value, steps = self.CASES[case]
         file = _write_with(tmp_path, json.loads(CATALOG[name].text()), path, value)
         mt = mp.loads(file.read_text(encoding="utf-8"))
         for _ in range(2):
             with pytest.raises(ls.LevelSystemError) as error:
                 ls.build_system(mt)
-            assert str(error.value) == message
+            assert str(error.value) == "; ".join(steps)
 
 
 class TestTopLevel:
@@ -758,9 +806,11 @@ class TestImports:
     # file of that name, @missing a file that does not exist and @broken the
     # start of neck2's text
     CASES = {
-        "strata": (["strata", "@ex4dim"], 0, {"maptype", "levelsys", "fixtures"}),
-        "building": (["building", "@ex4dim", "--m", "2"], 0, {"maptype", "levelsys", "fixtures"}),
-        "building-json": (["--json", "building", "@ex0-n4", "--m", "2"], 0, {"maptype", "levelsys", "fixtures"}),
+        "strata": (["strata", "@ex4dim"], 0, {"maptype", "levelsys", "fixtures", "exactnum"}),
+        "building": (["building", "@ex4dim", "--m", "2"], 0, {"maptype", "levelsys", "fixtures", "exactnum"}),
+        "building-json": (
+            ["--json", "building", "@ex0-n4", "--m", "2"], 0, {"maptype", "levelsys", "fixtures", "exactnum"}
+        ),
         "validate": (["validate", "@neck2"], 0, {"building", "levelsys", "fixtures"}),
         "dim-flags": (
             ["dim", "--c1A", "1", "--dimX", "4", "--chi", "2", "--ell", "0", "--AV", "1"], 0,

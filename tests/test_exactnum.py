@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -499,6 +500,18 @@ _RAGGED = [[1], [2, 3]]
 def test_ragged_rows_rejected(call):
     with pytest.raises(ValueError, match="equal length"):
         call(_RAGGED)
+
+
+@pytest.mark.parametrize("entry", [1.5, 2.0, "2"], ids=repr)
+@pytest.mark.parametrize(
+    "call",
+    [rref, rank, rational_nullspace, lambda rows: solve_linear(rows, [0]), strict_positive_solution],
+    ids=["rref", "rank", "rational_nullspace", "solve_linear", "strict_positive_solution"],
+)
+def test_non_exact_entry_rejected(call, entry):
+    # the linear algebra reads ints and Fractions only, as the Smith form does
+    with pytest.raises(ValueError, match=f"matrix entry {re.escape(repr(entry))} is not an integer or a Fraction"):
+        call([[entry, -1]])
 
 
 class TestSmith:

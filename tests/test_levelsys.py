@@ -227,10 +227,31 @@ class TestAnalysedOnce:
         assert sum(1 for (rows,) in rrefs if rows == sys.rows()) == 1
         assert sys.rows() is sys.rows()
 
+    @pytest.mark.parametrize("order", [("validate", "levels", "dim"), ("levels", "dim", "validate")])
+    def test_commands_share_one_validation(self, monkeypatch, order):
+        bodies = [
+            _counting(monkeypatch, maptype, name)
+            for name in ("_structure_violations", "_naive_violations", "check_enhanced", "check_relative_stability")
+        ]
+        walks = _counting(monkeypatch, maptype, "walk_fiber")
+        mt = neck2()
+        # what each subcommand reads of the map type
+        commands = {
+            "validate": lambda: mt.validation.valid,
+            "levels": lambda: feasible_positive(build_system(mt)) is not None and torus_dim(build_system(mt)) == 1,
+            "dim": lambda: stratum_codim(mt) == 2,
+        }
+        for name in order:
+            assert commands[name]()
+        assert [len(calls) for calls in bodies] == [1, 1, 1, 1]
+        assert len(walks) == len(mt.fibers)
+        assert mt.validation is mt.validation
+
 
 def _analysis(mt: MapType) -> tuple:
     sys = build_system(mt)
     return (
+        mt.validation,
         validate_structure(mt),
         check_naive(mt),
         check_broken_cylinders(mt),
@@ -276,7 +297,7 @@ class TestAnalysisCache:
         mt = build()
         first = _analysis(mt)
         again = _analysis(mt)
-        assert again[3] is first[3]
+        assert again[4] is first[4]
         assert again == first == _analysis(dataclasses.replace(mt))
 
 
