@@ -1,10 +1,19 @@
 """Multiplicative power systems  prod_j mu_j^{M[k][j]} = p_k.
 
 The magnitude part is a rational linear system on prime-exponent vectors
-(one right-hand side per prime in the support).  The argument part is a
-congruence system over Q/Z solved through the Smith normal form of M: the
-number of torsion branches is the product of the nonzero elementary
-divisors, and the continuous part is the kernel torus of M.
+(one right-hand side per prime in the support, all reduced in one
+elimination of M).  The argument part is a congruence system over Q/Z
+solved through the Smith normal form of M: the number of torsion branches
+is the product of the nonzero elementary divisors, and the continuous part
+is the kernel torus of M.
+
+A system with one unknown, mu^{s_k} = p_k (enhanced matching, gluing and
+the weighted-projective test all solve these), builds no Smith form: the
+prime exponents of mu are those of p_k0 divided by s_k0, for the first
+nonzero s_k0, checked on every row, and the argument runs the Smith form's
+Euclid steps on the column itself, carrying the argument numerators along.  Those steps are
+the ones ``smith_normal_form`` takes on a column, so the branches and their
+order are the same as on the Smith path.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .lattice import _int_rows, smith_normal_form
-from .linalg import solve_linear
+from .linalg import _rref
 from .values import ExactNonzeroComplex
 
 
@@ -100,6 +109,59 @@ class PowerSystemSolution:
         return self.consistent
 
 
+def _solve_column(s: list[int], values: Sequence[ExactNonzeroComplex]):
+    """``_solve_once`` for one unknown: mu^{s_k} = values[k].
+
+    The magnitude of mu is read off the first row with s_k != 0 and checked
+    against every row.  The argument runs the Smith form's own Euclid steps
+    on the column (first entry of least |s_k| to the top, remainder-and-swap
+    until one entry is left, then its sign made positive), applying each row
+    operation to the argument numerators as well.  So ``t`` is U A for the U
+    ``smith_normal_form`` would build, V is [[1]], and the branches, their
+    order included, are the ones the Smith path gives.
+    """
+    k0 = next((k for k, x in enumerate(s) if x), None)
+    mag_maps = [dict(v.mag) for v in values]
+    mag = []
+    for p in sorted(set().union(*mag_maps)):
+        exps = [m.get(p, 0) for m in mag_maps]
+        ep = Fraction(exps[k0], s[k0]) if k0 is not None else 0
+        if any(e != ep * sk for e, sk in zip(exps, s)):
+            return None
+        if ep:
+            mag.append((p, ep))
+    L = math.lcm(*[v.arg.denominator for v in values])
+    t = [v.arg.numerator * (L // v.arg.denominator) for v in values]
+    if k0 is not None:
+        top = min((k for k in range(k0, len(s)) if s[k]), key=lambda k: abs(s[k]))
+        s[0], s[top] = s[top], s[0]
+        t[0], t[top] = t[top], t[0]
+        dirty = True
+        while dirty:
+            dirty = False
+            for k in range(1, len(s)):
+                if s[k]:
+                    q = s[k] // s[0]
+                    s[k] -= q * s[0]
+                    t[k] -= q * t[0]
+                    if s[k]:
+                        s[0], s[k] = s[k], s[0]
+                        t[0], t[k] = t[k], t[0]
+                        dirty = True
+        if s[0] < 0:
+            s[0], t[0] = -s[0], -t[0]
+    g = s[0]
+    t = [x % L for x in t]
+    if any(t[1:]) or (t[0] and not g):
+        return None
+    if not g:
+        branches = TorsionBranches((tuple(mag),), (), (0,), ((),), L)
+        return PowerSystemSolution(True, None, 1, 1, branches)
+    den = L * g
+    branches = TorsionBranches((tuple(mag),), (g,), (t[0],), ((L % den,),), den)
+    return PowerSystemSolution(True, None, g, 0, branches)
+
+
 def _solve_once(rows: list[list[int]], values: Sequence[ExactNonzeroComplex]):
     """Solve the full system, or return None if it is inconsistent.
 
@@ -107,18 +169,26 @@ def _solve_once(rows: list[list[int]], values: Sequence[ExactNonzeroComplex]):
     integer numerator over one common denominator ``den``, so the solution
     keeps only the per-unknown offsets, the per-digit steps and the
     magnitudes, and ``TorsionBranches`` builds a branch when it is read.
+    A system with one unknown goes to ``_solve_column``.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    # magnitude: one rational linear solve per prime in the combined support
+    if n == 1:
+        return _solve_column([row[0] for row in rows], values)
+    # magnitude: one rational elimination of M with a right-hand side per prime
+    # in the combined support; a pivot in a right-hand side is an inconsistency
     primes = sorted({p for v in values for p, _ in v.mag})
-    mag_maps = [dict(v.mag) for v in values] if primes else []
-    mag_parts: dict[int, tuple[Fraction, ...]] = {}
-    for p in primes:
-        sol = solve_linear(rows, [mag.get(p, 0) for mag in mag_maps])
-        if sol is None:
+    mag_parts: dict[int, list[Fraction]] = {p: [Fraction(0)] * n for p in primes}
+    if primes:
+        mag_maps = [dict(v.mag) for v in values]
+        T, den, pivots, _ = _rref(
+            [(*row, *[mag.get(p, 0) for p in primes]) for row, mag in zip(rows, mag_maps)]
+        )
+        if pivots and pivots[-1] >= n:
             return None
-        mag_parts[p] = sol
+        for row, q, c in zip(T, den, pivots):
+            for j, p in enumerate(primes, n):
+                mag_parts[p][c] = Fraction(row.get(j, 0), q)
     # argument, in integers: with L the lcm of the argument denominators,
     # arg_j = A_j / L, and D psi = U arg over Q/Z with U M V = D reads
     # d_k psi_k = t_k / L with t_k = sum_j U_kj A_j mod L
@@ -154,6 +224,10 @@ def solve_power_system(M, values: Sequence[ExactNonzeroComplex]) -> PowerSystemS
     sequence of length ``branch_count`` that builds a branch only when it
     is read, or an inconsistency report carrying the index of the first
     equation that cannot be satisfied together with its predecessors.
+
+    A system with one unknown (M a column) is solved by the Euclid steps of
+    the Smith form run on the column alone, without building U or V; its
+    branches, in order, are the ones the Smith form gives.
     """
     rows = _int_rows(M)
     values = list(values)

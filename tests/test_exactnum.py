@@ -172,6 +172,31 @@ def power_systems(draw):
     return M, values
 
 
+@st.composite
+def column_systems(draw):
+    """One-unknown systems mu^{s_k} = values[k], up to 6 x 1, with s_k in
+    [-12, 12] and zeros among them, argument denominators up to 24, and
+    values with no magnitude among them.  The values are the powers of a
+    drawn mu, or drawn freely, or the powers of a drawn mu with one of them
+    redrawn, so the violated equation can be any."""
+    m = draw(st.integers(1, 6))
+    s = draw(st.lists(st.one_of(st.just(0), st.integers(-12, 12)), min_size=m, max_size=m))
+    value = st.builds(
+        ExactNonzeroComplex.from_parts,
+        st.dictionaries(st.sampled_from([2, 3]), frac, max_size=2),
+        st.builds(Fraction, st.integers(-24, 24), st.integers(1, 24)),
+    )
+    kind = draw(st.sampled_from(["powers", "free", "one-redrawn"]))
+    if kind == "free":
+        values = [draw(value) for _ in s]
+    else:
+        mu = draw(value)
+        values = [mu.pow(x) for x in s]
+        if kind == "one-redrawn":
+            values[draw(st.integers(0, m - 1))] = draw(value)
+    return [[x] for x in s], values
+
+
 class TestValues:
     def test_inverse_pair(self):
         a = ExactNonzeroComplex.from_rational(2)
@@ -639,7 +664,7 @@ class TestPowerSystems:
         with pytest.raises(ValueError, match="values and"):
             verify_solution(M, [v] * n_values, [v] * n_mu)
 
-    @given(power_systems())
+    @given(st.one_of(power_systems(), column_systems()))
     @settings(max_examples=200, deadline=None)
     def test_lazy_branches_match_reference(self, system):
         M, values = system
@@ -647,6 +672,9 @@ class TestPowerSystems:
         ref = reference_power_branches(M, values)
         assert sol.consistent == (ref is not None)
         if ref is None:
+            # the last equation of the shortest prefix that has no solution
+            prefixes = (reference_power_branches(M[: k + 1], values[: k + 1]) for k in range(len(M)))
+            assert sol.violated_equation == next(k for k, b in enumerate(prefixes) if b is None)
             return
         assert sol.kernel_rank == len(reference_nullspace(M))
         listed = list(sol.solutions)

@@ -5,7 +5,9 @@ byte-identical stdout and stderr.
 of stderr for ``validate``, ``levels`` and ``dim`` on the map-type fixtures
 and ``strata`` and ``building`` on the divisor fixtures, in human form and
 with ``--json``; then the same calls on two broken inputs, whose violation
-messages must come out in one order whatever ``PYTHONHASHSEED`` is.  An
+messages must come out in one order whatever ``PYTHONHASHSEED`` is; then
+``glue`` on four gluing files (``data/glue-*.json``), human and ``--json``,
+the one subcommand that prints every torsion branch in order.  An
 argument ``@name`` stands for a file holding the built-in fixture ``name``,
 or ``data/name.json`` when no fixture has that name.  The table was
 recorded once, from a build whose outputs had been checked, and nothing

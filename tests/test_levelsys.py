@@ -185,6 +185,32 @@ def _counting(monkeypatch, module, name: str) -> list:
     return calls
 
 
+class TestColumnSystems:
+    """Every library power system has one unknown, so none builds a Smith form."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [smooth_level_one, neck1a, neck1b, neck2, neck3, lambda: disjoint_copies(neck2(), 8)],
+        ids=["smooth_level_one", "neck1a", "neck1b", "neck2", "neck3", "neck2x8"],
+    )
+    def test_check_enhanced_builds_no_smith_form(self, monkeypatch, build):
+        from ncd_moduli.exactnum import powersys
+
+        smith = _counting(monkeypatch, powersys, "smith_normal_form")
+        systems = _counting(monkeypatch, maptype, "solve_power_system")
+        mt = build()
+        res = check_enhanced(mt)
+        assert res.satisfiable, res.failure
+        assert len(systems) == len(res.branch_counts) > 0
+        assert smith == []
+        gp = gluing_problem_from_maptype(mt)
+        gp = dataclasses.replace(gp, lambdas=tuple((l, _c(1)) for l in range(1, 4)))
+        gluings = _counting(monkeypatch, levelsys, "solve_power_system")
+        assert solve_gluing(gp).consistent
+        assert len(gluings) == len(gp.nodes)
+        assert smith == []
+
+
 class TestAnalysedOnce:
     def test_one_contraction_and_one_walk_per_fiber(self, monkeypatch):
         contractions = _counting(monkeypatch, maptype, "contraction")
