@@ -1,14 +1,17 @@
 """The level linear system and the gluing-parameter power system.
 
 Unknowns are one rate exponent per node of the domain and one per level of
-the building (per scaling direction for multibuildings).  Level exponents
+the building (per scaling component for multibuildings).  Level exponents
 are absolute: a projected node at level l in direction i with multiplicity s
 contributes the equation
 
     s * sum(alpha over its merged nodes) = beta(l) - beta(l-1),
 
-with beta(0) = 0, so the two rates of a shared chain with multiplicities
-s1 != s2 on levels l1 != l2 satisfy beta(l1)/s1 = beta(l2)/s2.  A strictly
+with beta(0) = 0.  Each equation holds the key of its beta(l) from
+``MapType.beta_key``, the one (direction, level) -> beta rule, and reads
+beta(l-1) off that key.  So the two rates of a shared chain with
+multiplicities s1 != s2 on levels l1 != l2 satisfy beta(l1)/s1 =
+beta(l2)/s2.  A strictly
 positive solution is necessary for the type to arise as a limit; the
 dimension of the beta-projection of the solution space is the number of
 independent rescaling parameters, i.e. the stratum's complex codimension.
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .exactnum import (
     ExactNonzeroComplex,
@@ -44,11 +47,26 @@ class LevelSystemError(ValueError):
 
 @dataclass(frozen=True)
 class LevelEquation:
+    """multiplicity * sum(alpha over nodes) = beta - below, for one projected
+    step in ``direction``; ``beta`` is the step's key from ``MapType.beta_key``."""
+
     base: str
     direction: str
-    level: int
+    beta: BetaKey
     nodes: tuple[str, ...]
     multiplicity: int
+
+    @property
+    def level(self) -> int:
+        return self.beta if isinstance(self.beta, int) else self.beta[1]
+
+    @property
+    def below(self) -> Optional[BetaKey]:
+        """The key one level down in the same scaling direction, or None at level 1."""
+        level = self.level - 1
+        if level < 1:
+            return None
+        return level if isinstance(self.beta, int) else (self.beta[0], level)
 
 
 @dataclass(frozen=True)
@@ -56,7 +74,6 @@ class LevelSystem:
     alphas: tuple[str, ...]
     betas: tuple[BetaKey, ...]
     equations: tuple[LevelEquation, ...]
-    directions: tuple[tuple[str, str], ...] = ()  # direction -> scaling component
 
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """Integer coefficient rows over the unknowns alphas + betas."""
@@ -64,37 +81,20 @@ class LevelSystem:
 
     @cached_property
     def _rows(self) -> tuple[tuple[int, ...], ...]:
-        a_index = {a: i for i, a in enumerate(self.alphas)}
-        beta_column = self._beta_columns()
-        na = len(self.alphas)
+        # node ids are strings and beta keys are not, so one map indexes both
+        column = {u: i for i, u in enumerate(self.alphas + self.betas)}
+        width = len(self.alphas) + len(self.betas)
         out = []
         for eq in self.equations:
-            row = [0] * (na + len(self.betas))
+            row = [0] * width
             for nid in eq.nodes:
-                row[a_index[nid]] += eq.multiplicity
-            row[na + beta_column(eq.direction, eq.level)] -= 1
-            if eq.level >= 2:
-                row[na + beta_column(eq.direction, eq.level - 1)] += 1
+                row[column[nid]] += eq.multiplicity
+            row[column[eq.beta]] -= 1
+            below = eq.below
+            if below is not None:
+                row[column[below]] += 1
             out.append(tuple(row))
         return tuple(out)
-
-    def _beta_columns(self) -> Callable[[str, int], int]:
-        """The index into betas of the rate of (direction, level).
-
-        A uniform beta is keyed by its level alone, a multibuilding beta by
-        the direction's scaling component and the level.  The tables are
-        built once per call of this method, so each lookup is constant time.
-        """
-        position = {b: i for i, b in enumerate(self.betas)}
-        table = dict(self.directions)
-
-        def column(direction: str, level: int) -> int:
-            for key in (level, (table.get(direction), level)):
-                if key in position:
-                    return position[key]
-            raise KeyError((direction, level))
-
-        return column
 
     @cached_property
     def _beta_relations(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -115,10 +115,7 @@ class LevelSystem:
         return tuple(sorted(relations))
 
     def describe(self) -> list[str]:
-        beta_column = self._beta_columns()
-
-        def name(direction: str, level: int) -> str:
-            key = self.betas[beta_column(direction, level)]
+        def name(key: BetaKey) -> str:
             return f"b({key})" if isinstance(key, int) else f"b({key[0]},{key[1]})"
 
         out = []
@@ -126,10 +123,9 @@ class LevelSystem:
             lhs = " + ".join(f"a({z})" for z in eq.nodes)
             if eq.multiplicity != 1:
                 lhs = f"{eq.multiplicity}*({lhs})"
-            prev = name(eq.direction, eq.level - 1) if eq.level >= 2 else None
-            rhs = name(eq.direction, eq.level)
-            if prev:
-                rhs = f"{rhs} - {prev}"
+            rhs = name(eq.beta)
+            if eq.below is not None:
+                rhs = f"{rhs} - {name(eq.below)}"
             out.append(f"[{eq.base} / {eq.direction}] {lhs} = {rhs}")
         return out
 
@@ -153,18 +149,13 @@ def _assemble(mt: MapType) -> LevelSystem:
                 LevelEquation(
                     base=walk.fiber.base_id,
                     direction=step.direction,
-                    level=step.level,
+                    beta=mt.beta_key(step.direction, step.level),
                     nodes=step.nodes,
                     multiplicity=mults[step.direction],
                 )
             )
             alphas.update(step.nodes)
-    return LevelSystem(
-        tuple(sorted(alphas)),
-        mt.beta_keys,
-        tuple(equations),
-        tuple(sorted(dict(mt.direction_components).items())),
-    )
+    return LevelSystem(tuple(sorted(alphas)), mt.beta_keys, tuple(equations))
 
 
 def feasible_positive(sys: LevelSystem) -> Optional[dict]:
@@ -229,18 +220,13 @@ def asymptotic_classes(mt: MapType) -> tuple[AsymptoticClass, ...]:
         if ra != rb:
             parent[ra] = rb
 
-    beta_column = sys._beta_columns()
-
-    def beta_token(direction, level):
-        return ("level", sys.betas[beta_column(direction, level)])
-
     for eq in sys.equations:
         anchor = ("node", eq.nodes[0])
         for nid in eq.nodes[1:]:
             union(anchor, ("node", nid))
-        union(anchor, beta_token(eq.direction, eq.level))
-        if eq.level >= 2:
-            union(anchor, beta_token(eq.direction, eq.level - 1))
+        union(anchor, ("level", eq.beta))
+        if eq.below is not None:
+            union(anchor, ("level", eq.below))
     by_base: dict[str, list[LevelEquation]] = {}
     for eq in sys.equations:
         by_base.setdefault(eq.base, []).append(eq)
@@ -251,11 +237,9 @@ def asymptotic_classes(mt: MapType) -> tuple[AsymptoticClass, ...]:
         levels = [eq.level for eq in eqs]
         for eq in eqs:
             for l in range(min(levels), max(levels) + 1):
-                if l >= 1:
-                    try:
-                        union(first, beta_token(eq.direction, l))
-                    except KeyError:
-                        pass
+                key = mt.beta_key(eq.direction, l)
+                if key in mt._beta_set:
+                    union(first, ("level", key))
     groups: dict[tuple, list[tuple]] = {}
     for t in tokens:
         groups.setdefault(find(t), []).append(t)
@@ -435,6 +419,8 @@ def gluing_from_dict(obj: Mapping) -> GluingProblem:
         directions = _json_list(n["directions"], f"{nid} directions")
         nodes.append(GluingNode(nid, tuple(_direction_from_dict(d, nid) for d in directions)))
     for n in nodes:
+        if not n.directions:
+            raise ValueError(f"{n.id}: directions must not be empty")
         for d in n.directions:
             if d.multiplicity < 1:
                 raise ValueError(f"{n.id}: multiplicity {d.multiplicity} in {d.direction} must be positive")

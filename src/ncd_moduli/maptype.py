@@ -18,7 +18,8 @@ A ``MapType`` computes each fact about itself once, on first use:
 - ``validation``, the record that ``validate`` prints and the level system
   is gated on;
 - the building's level unknowns ``beta_keys``, which the walks, relative
-  stability and the level system read through ``beta_key``;
+  stability, the level system's equations and ``asymptotic_classes`` read
+  through ``beta_key``;
 - its level system, which ``levelsys.build_system`` returns, so
   ``torus_dim``, ``beta_relations`` and ``stratum_codim`` share one
   elimination of its level matrix.
@@ -262,6 +263,7 @@ class BaseFiber:
 
     @property
     def stretch(self) -> int:
+        """Number of trivial components over the base special point."""
         return len(self.chain)
 
 
@@ -338,11 +340,6 @@ def contraction(mt: MapType) -> tuple[BaseFiber, ...]:
         p0, p1 = sorted((a, b))
         fibers.append(BaseFiber(f"node:{p0}|{p1}", "node", p0, (), (n.id,), p1))
     return tuple(sorted(fibers, key=lambda f: f.base_id))
-
-
-def stretch(mt: MapType) -> dict[str, int]:
-    """Number of trivial components over each base special point."""
-    return {f.base_id: f.stretch for f in mt.fibers}
 
 
 # -- structural validation ---------------------------------------------------------

@@ -512,6 +512,7 @@ class TestShapes:
         "glue-levels-list": ("glue", ("levels",), [], "levels = [] is not an object"),
         "glue-nodes-object": ("glue", ("nodes",), {}, "nodes = {} is not a list"),
         "glue-directions-object": ("glue", ("nodes", 0, "directions"), {}, "x directions = {} is not a list"),
+        "glue-directions-empty": ("glue", ("nodes", 0, "directions"), [], "x: directions must not be empty"),
         "glue-node-list": ("glue", ("nodes", 0), [], "node = [] is not an object"),
         "glue-direction-list": ("glue", ("nodes", 0, "directions", 0), [], "x direction = [] is not an object"),
         "glue-node-id-int": ("glue", ("nodes", 0, "id"), 1, "node id must be a string, not int"),

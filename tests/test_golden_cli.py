@@ -6,13 +6,16 @@ of stderr for ``validate``, ``levels`` and ``dim`` on the map-type fixtures
 and ``strata`` and ``building`` on the divisor fixtures, in human form and
 with ``--json``; then the same calls on two broken inputs, whose violation
 messages must come out in one order whatever ``PYTHONHASHSEED`` is; then
-``glue`` on four gluing files (``data/glue-*.json``), human and ``--json``,
-the one subcommand that prints every torsion branch in order.  An
-argument ``@name`` stands for a file holding the built-in fixture ``name``,
-or ``data/name.json`` when no fixture has that name.  The table was
-recorded once, from a build whose outputs had been checked, and nothing
-here rewrites it: a changed output is a failure to explain, not to
-re-record.
+``glue`` on four gluing files (``data/glue-*.json`` but the malformed
+``glue-no-directions``), human and ``--json``, the one subcommand that
+prints every torsion branch in order; then ``levels`` on
+``data/neck2-two-level.json``, human and ``--json``, a multibuilding whose
+equation at level 2 subtracts the level-1 rate of its own scaling
+component.  An argument ``@name`` stands for a file holding the built-in
+fixture ``name``, or ``data/name.json`` when no fixture has that name.
+The table was recorded once, from a build whose outputs had been checked,
+and nothing here rewrites it: a changed output is a failure to explain,
+not to re-record.
 """
 
 import hashlib

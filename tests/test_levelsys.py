@@ -2,6 +2,7 @@ import dataclasses
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -411,14 +412,13 @@ def level_systems(draw) -> LevelSystem:
     alphas = tuple(f"a{i}" for i in range(draw(st.integers(0, 4))))
     if draw(st.booleans()):
         betas = tuple(range(1, draw(st.integers(0, 4)) + 1))
-        directions = ()
-        tops = {d: len(betas) for d in ("d1", "d2")}
+        keys = {d: betas for d in ("d1", "d2")}
     else:
         bounds = {"c1": draw(st.integers(0, 3)), "c2": draw(st.integers(0, 3))}
         betas = tuple((c, l) for c, b in sorted(bounds.items()) for l in range(1, b + 1))
-        directions = (("d1", "c1"), ("d2", "c2"), ("d3", "c1"))
-        tops = {d: bounds[c] for d, c in directions}
-    usable = sorted(d for d, top in tops.items() if top)
+        # d1 and d3 scale the same component
+        keys = {d: tuple(b for b in betas if b[0] == c) for d, c in (("d1", "c1"), ("d2", "c2"), ("d3", "c1"))}
+    usable = sorted(d for d, k in keys.items() if k)
     equations = ()
     if usable:
         equation = st.sampled_from(usable).flatmap(
@@ -426,13 +426,13 @@ def level_systems(draw) -> LevelSystem:
                 LevelEquation,
                 st.just("x"),
                 st.just(d),
-                st.integers(1, tops[d]),
+                st.sampled_from(keys[d]),
                 st.lists(st.sampled_from(alphas), max_size=3).map(tuple) if alphas else st.just(()),
                 st.integers(1, 3),
             )
         )
         equations = tuple(draw(st.lists(equation, max_size=6)))
-    sys = LevelSystem(alphas, betas, equations, directions)
+    sys = LevelSystem(alphas, betas, equations)
     if equations and draw(st.booleans()):
         sys = _twin(sys, draw(st.integers(0, len(equations) - 1)))
     return sys
@@ -531,6 +531,22 @@ class TestAsymptoticClasses:
     def test_exponents_positive(self):
         for c in asymptotic_classes(neck3()):
             assert all(v > 0 for _, v in c.exponents)
+
+    def test_multibuilding_fiber_reaching_two_top_levels(self):
+        # one fiber steps in d1 at level 1 and in d2 at levels 1 and 2, so its
+        # level interval asks for (v1, 2), which the building does not have
+        text = (Path(__file__).parent / "data" / "neck2-two-level.json").read_text(encoding="utf-8")
+        classes = asymptotic_classes(maptype.loads(text))
+        members = (
+            ("level", ("v1", 1)),
+            ("level", ("v2", 1)),
+            ("level", ("v2", 2)),
+            ("node", "z0"),
+            ("node", "z1"),
+            ("node", "z2"),
+        )
+        exponents = tuple(zip(members, map(Fraction, (2, 2, 4, 2, 1, 1))))
+        assert classes == (levelsys.AsymptoticClass(members, exponents),)
 
 
 class TestSolveGluing:

@@ -21,7 +21,6 @@ from ncd_moduli.maptype import (
     eval_equal,
     evaluation,
     loads,
-    stretch,
     validate_structure,
     walk_fiber,
     wproj_equal,
@@ -223,7 +222,7 @@ class TestBrokenCylinders:
         assert check_broken_cylinders(build()) == []
 
     def test_stretch_neck1a(self):
-        values = stretch(neck1a())
+        values = {f.base_id: f.stretch for f in neck1a().fibers}
         assert values["marked:f22@x2"] == 2
         assert values["node:f1@zA|main@zA"] == 0
 
