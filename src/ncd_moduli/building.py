@@ -162,41 +162,36 @@ def _builder(
     pairs: list[tuple[DivisorStratumLabel, DivisorStratumLabel]] = []
     for s in sorted(d.strata, key=lambda s: (s.depth, s.id)):
         slot_bounds = [bounds[ref] for ref in s.slots]
-        if s.depth >= 1:
-            seen: set[tuple[int, ...]] = set()
-            for lv in itertools.product(*[range(1, b + 1) for b in slot_bounds]):
-                if lv in seen:
-                    continue
-                orb = _orbit(lv, s.monodromy)
-                seen |= orb
-                rep = min(orb)
-                pieces.append(
-                    PieceRecord(PieceLabel(s.id, rep), s.depth, len(orb), s.normalization_components)
-                )
         # divisor branches over this stratum: one orbit per (local label, slot)
         # class.  A slot's level is constant on its orbit, so both signs are
-        # emitted at the orbit's first member.
+        # emitted at the orbit's first member.  The level parts of the orbit of
+        # (lv, 0) are the orbit of lv, so an all-positive lv met first at slot 0
+        # is the least member of a new piece, the loop being lexicographic.
         orbit_rep: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]] = {}
+        minus: dict[tuple[tuple[int, ...], int], DivisorStratumLabel] = {}
         zero_side: list[DivisorStratumLabel] = []
         for lv in itertools.product(*[range(b + 1) for b in slot_bounds]):
             for slot in range(s.depth):
                 if (lv, slot) in orbit_rep:
                     continue
                 orb = _orbit_signed((lv, slot), s.monodromy)
-                rep_lv, rep_slot = min(orb)
-                orbit_rep.update(dict.fromkeys(orb, (rep_lv, rep_slot)))
-                plus = DivisorStratumLabel(s.id, rep_lv, rep_slot, 1)
+                rep = min(orb)
+                orbit_rep.update(dict.fromkeys(orb, rep))
+                if slot == 0 and 0 not in lv:
+                    size = len({levels for levels, _ in orb})
+                    pieces.append(PieceRecord(PieceLabel(s.id, lv), s.depth, size, s.normalization_components))
+                plus = DivisorStratumLabel(s.id, *rep, 1)
                 strata_labels.append(plus)
                 if lv[slot] >= 1:
-                    strata_labels.append(DivisorStratumLabel(s.id, rep_lv, rep_slot, -1))
+                    minus[rep] = DivisorStratumLabel(s.id, *rep, -1)
+                    strata_labels.append(minus[rep])
                 # at the top level the zero side is part of the building's divisor
-                if lv[slot] < slot_bounds[rep_slot]:
+                if lv[slot] < slot_bounds[rep[1]]:
                     zero_side.append(plus)
         for label in zero_side:
             up = list(label.levels)
             up[label.slot] += 1
-            rep_lv, rep_slot = orbit_rep[(tuple(up), label.slot)]
-            pairs.append((label, DivisorStratumLabel(s.id, rep_lv, rep_slot, -1)))
+            pairs.append((label, minus[orbit_rep[(tuple(up), label.slot)]]))
     b = LevelBuilding(
         divisor=d,
         mode=mode,

@@ -180,7 +180,7 @@ def _cmd_dim(args) -> int:
         if args.dimX is None:
             raise InputError("--dimX is required with a map-type file")
         try:
-            inp = dm.maptype_dimension_input(mt, args.dimX)
+            inp = dm.DimensionInput(mt.c1a, args.dimX, mt.chi, mt.ell, mt.av)
         except ValueError as e:
             raise InputError(str(e)) from e
         try:
@@ -315,8 +315,11 @@ def _cmd_example(args) -> int:
     entry = CATALOG[args.name]
     text = entry.text()
     if args.emit and args.emit != "-":
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.emit, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise InputError(f"cannot write {args.emit}: {e}") from e
         print(f"wrote {entry.kind} fixture {args.name} to {args.emit}", file=sys.stderr)
     elif args.json:
         print(json.dumps(

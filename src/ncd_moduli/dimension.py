@@ -55,7 +55,3 @@ def stratum_codim(mt: MapType) -> int:
     from .levelsys import build_system, torus_dim
 
     return 2 * torus_dim(build_system(mt))
-
-
-def maptype_dimension_input(mt: MapType, dim_x: int) -> DimensionInput:
-    return DimensionInput(mt.c1a, dim_x, mt.chi, mt.ell, mt.av)

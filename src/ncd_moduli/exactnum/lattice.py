@@ -118,9 +118,6 @@ def smith_normal_form(A) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         if D[t][t] < 0:
             negate_row(t)
         t += 1
-    for i in range(min(m, n)):
-        if D[i][i] < 0:
-            negate_row(i)
     return tuple(map(tuple, U)), tuple(map(tuple, D)), tuple(map(tuple, V))
 
 

@@ -100,18 +100,18 @@ class LevelSystem:
     def _beta_relations(self) -> tuple[tuple[Fraction, ...], ...]:
         """``beta_relations``: the c with c . betas = 0 on every solution of rows().
 
-        Exactly then (0, c) lies in the row space of rows(), and with the
-        alphas first, the reduced rows whose pivot is a beta span those
-        vectors.  Reduced again with the betas reversed, each row's last
-        nonzero entry is its pivot, positive, and it is 0 at the other pivots.
+        Exactly then (0, c) lies in the row space of rows().  With the alphas
+        first and the betas reversed, the reduced rows whose pivot is a beta
+        have no alpha entries and span those vectors, each with its last
+        nonzero beta entry as its pivot, positive, and 0 at the other pivots.
         """
         na, nb = len(self.alphas), len(self.betas)
-        T, _, pivots, _ = _rref(self.rows())
-        tail = [[row.get(na + nb - 1 - j, 0) for j in range(nb)] for row, c in zip(T, pivots) if c >= na]
+        T, _, pivots, _ = _rref([row[:na] + row[na:][::-1] for row in self.rows()])
         relations = []
-        for row in _rref(tail)[0]:
-            g = gcd(*row.values())
-            relations.append(tuple(Fraction(row.get(nb - 1 - j, 0) // g) for j in range(nb)))
+        for row, c in zip(T, pivots):
+            if c >= na:
+                g = gcd(*row.values())
+                relations.append(tuple(Fraction(row.get(na + nb - 1 - j, 0) // g) for j in range(nb)))
         return tuple(sorted(relations))
 
     def describe(self) -> list[str]:
@@ -238,7 +238,7 @@ def asymptotic_classes(mt: MapType) -> tuple[AsymptoticClass, ...]:
         for eq in eqs:
             for l in range(min(levels), max(levels) + 1):
                 key = mt.beta_key(eq.direction, l)
-                if key in mt._beta_set:
+                if mt.has_beta(key):
                     union(first, ("level", key))
     groups: dict[tuple, list[tuple]] = {}
     for t in tokens:

@@ -17,9 +17,11 @@ A ``MapType`` computes each fact about itself once, on first use:
   as a fresh list;
 - ``validation``, the record that ``validate`` prints and the level system
   is gated on;
-- the building's level unknowns ``beta_keys``, which the walks, relative
-  stability, the level system's equations and ``asymptotic_classes`` read
-  through ``beta_key``;
+- the building's level unknowns ``beta_keys``, which only the level system
+  lists.  The walks, relative stability, the level system's equations and
+  ``asymptotic_classes`` name a level through ``beta_key``; the walks and
+  ``asymptotic_classes`` test it with ``has_beta``, and relative stability
+  visits the levels in order up to the first one not covered;
 - its level system, which ``levelsys.build_system`` returns, so
   ``torus_dim``, ``beta_relations`` and ``stratum_codim`` share one
   elimination of its level matrix.
@@ -33,7 +35,7 @@ import json
 import reprlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, Union
 
 from .exactnum import (
     ExactNonzeroComplex,
@@ -203,20 +205,28 @@ class MapType:
 
     @cached_property
     def beta_keys(self) -> tuple[BetaKey, ...]:
-        """The building's level unknowns: levels 1..m of a uniform building, or
-        (component, 1..bound) for each sorted entry of ``levels_by_component``."""
-        if self.building_mode == "uniform":
-            return tuple(range(1, self.m + 1))
-        return tuple((comp, l) for comp, bound in sorted(self.levels_by_component) for l in range(1, bound + 1))
+        """The building's level unknowns, ``_beta_keys_in_order`` listed."""
+        return tuple(self._beta_keys_in_order())
 
-    @cached_property
-    def _beta_set(self) -> frozenset[BetaKey]:
-        return frozenset(self.beta_keys)
+    def _beta_keys_in_order(self) -> Iterable[BetaKey]:
+        """Levels 1..m of a uniform building, or (component, 1..bound) for each
+        sorted entry of ``levels_by_component``, one at a time."""
+        if self.building_mode == "uniform":
+            return range(1, self.m + 1)
+        return ((comp, l) for comp, bound in sorted(self.levels_by_component) for l in range(1, bound + 1))
+
+    def has_beta(self, key: BetaKey) -> bool:
+        """Whether ``key`` is in ``beta_keys``: its level lies in 1..the bound of
+        its component, without listing the keys."""
+        if self.building_mode == "uniform":
+            return 1 <= key <= self.m
+        component, level = key
+        return 1 <= level <= dict(self.levels_by_component).get(component, 0)
 
     def beta_key(self, direction: str, level: int) -> Optional[BetaKey]:
         """The key of ``level`` in ``direction``: the level, or in a multibuilding
         (the direction's scaling component, level), or None if there is no such
-        component.  The building has that unknown only if the key is in ``beta_keys``."""
+        component.  The building has that unknown only if ``has_beta`` holds."""
         if self.building_mode == "uniform":
             return level
         component = dict(self.direction_components).get(direction)
@@ -564,7 +574,7 @@ def walk_fiber(mt: MapType, f: BaseFiber) -> FiberWalk:
         if None in keys:
             violations.append(f"{f.base_id}: direction {d} has no scaling component")
         for l, key in zip(seen_levels, keys):
-            if key is not None and key not in mt._beta_set:
+            if key is not None and not mt.has_beta(key):
                 violations.append(f"{f.base_id}: direction {d} reaches level {l}, which the building does not have")
     for nid in f.inner_nodes:
         if nid not in moved:
@@ -642,9 +652,11 @@ def check_enhanced(mt: MapType) -> EnhancedResult:
 
 
 def check_relative_stability(mt: MapType) -> bool:
-    """Every level of the building is the level of a nontrivial component in some direction."""
+    """Every level of the building is the level of a nontrivial component in some
+    direction.  The levels are checked in order up to the first one not covered,
+    so a building with many levels is not listed."""
     covered = {mt.beta_key(d, l) for c in mt.components if not c.trivial for d, l in c.levels}
-    return covered.issuperset(mt.beta_keys)
+    return all(key in covered for key in mt._beta_keys_in_order())
 
 
 # -- weighted projective evaluation -------------------------------------------------

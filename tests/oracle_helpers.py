@@ -12,8 +12,6 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
-
 from ncd_moduli.building import (
     DivisorStratumLabel,
     LevelBuilding,
@@ -233,16 +231,14 @@ def arg_grid_solutions(M, args, L):
 
     args entries must have denominators dividing L.
     """
-    M = np.array(M, dtype=np.int64)
-    m, n = M.shape if M.size else (len(M), 0)
-    rhs = np.array([int(Fraction(a) * L) % L for a in args], dtype=np.int64)
-    grid = np.array(list(itertools.product(range(L), repeat=n)), dtype=np.int64)
-    if n == 0:
-        ok = np.all(rhs % L == 0)
-        return [()] if ok else []
-    vals = (grid @ M.T) % L
-    mask = np.all(vals == rhs % L, axis=1)
-    return [tuple(Fraction(int(j), L) for j in row) for row in grid[mask]]
+    rows = [[int(x) for x in row] for row in M]
+    rhs = [int(Fraction(a) * L) % L for a in args]
+    n = len(rows[0]) if rows else 0
+    return [
+        tuple(Fraction(j, L) for j in theta)
+        for theta in itertools.product(range(L), repeat=n)
+        if all(sum(c * t for c, t in zip(row, theta)) % L == r for row, r in zip(rows, rhs))
+    ]
 
 
 def reference_power_branches(M, values):
@@ -293,12 +289,10 @@ def reference_power_branches(M, values):
 def power_system_oracle_consistent(M, values, L) -> bool:
     """Brute-force consistency of a power system.
 
-    Magnitude consistency is checked by substituting the implementation-free
-    per-prime exponent grid is impossible in general, so we instead verify a
-    Farkas-style contradiction: the system is magnitude-consistent iff for
-    every prime the rational system M x = e_p has a solution, which we test
-    by comparing ranks computed with numpy over exact integers via fraction
-    clearing.  Arguments are enumerated on the j/L grid.
+    The magnitudes are consistent iff for every prime the rational system
+    M x = e_p has a solution, which ``_rational_system_consistent`` decides
+    by comparing ranks from its own Fraction elimination.  Arguments are
+    enumerated on the j/L grid.
     """
     rows = [[int(x) for x in row] for row in M]
     primes = sorted({p for v in values for p, _ in v.mag})

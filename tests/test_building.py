@@ -33,6 +33,21 @@ def ex4dim():
     return simple_crossings(4, ["v1", "v2"], {frozenset({"v1", "v2"}): 1})
 
 
+def swapped_self_crossing():
+    """The self-crossing curve with its two branches at the node swapped by monodromy."""
+    d = self_crossing_curve()
+    return CombinatorialDivisor(
+        d.dim_x,
+        d.components,
+        tuple(
+            Stratum(s.id, s.depth, s.slots, s.normalization_components, ((1, 0),), s.boundary)
+            if s.depth == 2
+            else s
+            for s in d.strata
+        ),
+    )
+
+
 class TestBuild:
     def test_level_zero_is_single_piece(self):
         b = build(ex4dim(), 0)
@@ -67,22 +82,21 @@ class TestBuild:
         assert bb.class_count(depth=1) == 2
 
     def test_monodromy_merges_level_pairs(self):
-        d = self_crossing_curve()
-        swapped = type(d)(
-            d.dim_x,
-            d.components,
-            tuple(
-                type(s)(s.id, s.depth, s.slots, s.normalization_components, ((1, 0),), s.boundary)
-                if s.depth == 2
-                else s
-                for s in d.strata
-            ),
-        )
-        b = build(swapped, 2)
+        b = build(swapped_self_crossing(), 2)
         deep = [r for r in b.pieces if r.depth == 2]
         # (1,2) and (2,1) fall into one orbit of size 2
         assert sorted(r.label.levels for r in deep) == [(1, 1), (1, 2), (2, 2)]
         assert {r.label.levels: r.orbit_size for r in deep}[(1, 2)] == 2
+
+    @pytest.mark.parametrize(
+        "d,m",
+        [(local_model(3), 2), (self_crossing_curve(), 3), (swapped_self_crossing(), 3)],
+        ids=["local_model-3", "self_crossing", "swapped_self_crossing"],
+    )
+    def test_attaching_pairs_reuse_infinity_labels(self, d, m):
+        b = build(d, m)
+        infinity = {id(x) for x in b.divisor_strata if x.sign == -1}
+        assert b.attaching and all(id(q) in infinity for _, q in b.attaching)
 
 
 class TestMulti:

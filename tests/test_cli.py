@@ -660,6 +660,26 @@ class TestHugeInteger:
         assert "Traceback" not in err
 
 
+class TestHugeLevelCount:
+    """A building with 10**12 levels is checked without listing its levels."""
+
+    @pytest.mark.parametrize(
+        "name, path",
+        [("neck1a", ("building", "m")), ("neck2", ("building", "levels", "v1"))],
+        ids=["uniform-m", "multi-v1"],
+    )
+    def test_validate_exit_1(self, capsys, tmp_path, name, path):
+        file = _write_with(tmp_path, json.loads(CATALOG[name].text()), path, 10**12)
+        # CPU time, as in TestMalformedCoeff: listing the levels would take hours
+        start = time.process_time()
+        code, out, err = invoke(capsys, "validate", str(file))
+        elapsed = time.process_time() - start
+        assert code == 1
+        assert out == "valid: False\nenhanced matching: satisfiable\nrelatively stable: False\n"
+        assert err == ""
+        assert elapsed < 0.1, f"{elapsed:.3f} s"
+
+
 class TestGlue:
     def test_fourth_roots(self, capsys, tmp_path):
         payload = {
@@ -749,6 +769,14 @@ class TestExample:
         code, out, _ = invoke(capsys, "example", "ex4dim", "--emit", str(target))
         assert code == 0
         assert json.loads(target.read_text(encoding="utf-8"))["dimX"] == 4
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_emit_unwritable_exit_2(self, capsys, tmp_path, where):
+        target = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+        code, out, err = invoke(capsys, "example", "neck2", "--emit", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
 
     def test_json_mode_parses(self, capsys):
         code, out, _ = invoke(capsys, "--json", "example", "neck3")

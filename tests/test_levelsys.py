@@ -232,7 +232,7 @@ class TestAnalysedOnce:
         assert torus_dim(sys) == 1
         assert len(beta_relations(sys)) == 1
         assert torus_dim(sys) == 1
-        assert sum(1 for (rows,) in calls if rows == sys.rows()) == 1
+        assert len(calls) == 1
 
     def test_validate_levels_dim_classes_once(self, monkeypatch):
         structure = _counting(monkeypatch, maptype, "_structure_violations")
@@ -251,7 +251,7 @@ class TestAnalysedOnce:
         assert stratum_codim(mt) == 2
         assert len(asymptotic_classes(mt)) == 1
         assert (len(structure), len(naive), len(assembled)) == (1, 1, 1)
-        assert sum(1 for (rows,) in rrefs if rows == sys.rows()) == 1
+        assert len(rrefs) == 1
         assert sys.rows() is sys.rows()
 
     @pytest.mark.parametrize("order", [("validate", "levels", "dim"), ("levels", "dim", "validate")])

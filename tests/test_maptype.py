@@ -21,6 +21,8 @@ from ncd_moduli.maptype import (
     eval_equal,
     evaluation,
     loads,
+    maptype_from_dict,
+    maptype_to_dict,
     validate_structure,
     walk_fiber,
     wproj_equal,
@@ -457,3 +459,177 @@ class TestFormat:
         assert dumps(again) == text
         assert validate_structure(again) == []
         assert check_naive(again) == []
+
+
+def _set(obj, path, value):
+    """Set the field at path (keys and indices) of a map-type dict to value."""
+    *parents, field = path
+    for key in parents:
+        obj = obj[key]
+    obj[field] = value
+
+
+def _slot(component, point, slot=0):
+    return ("components", component, "points", point, "slots", slot)
+
+
+def _contraction_error(mt):
+    with pytest.raises(ValueError) as e:
+        contraction(mt)
+    return [str(e.value)]
+
+
+class TestValidatorMessages:
+    """Each message of a validator, reached by a minimal edit of a fixture's
+    dict; the full report of the function that gives it is pinned."""
+
+    CASES = {
+        "negative-genus": (
+            smooth_level_one,
+            lambda o: _set(o, ("components", 0, "genus"), -1),
+            validate_structure,
+            ["main: negative genus"],
+        ),
+        "trivial-genus": (
+            neck2,
+            lambda o: _set(o, ("components", 2, "genus"), 1),
+            validate_structure,
+            ["g1: trivial component must have genus 0"],
+        ),
+        "trivial-multiplicities-differ": (
+            neck2,
+            lambda o: _set(o, _slot(2, 1) + ("s",), 2),
+            validate_structure,
+            ["g1: multiplicities differ across ends in d1"],
+        ),
+        "trivial-signs-not-opposite": (
+            neck2,
+            lambda o: _set(o, _slot(2, 1) + ("eps",), -1),
+            validate_structure,
+            ["g1: signs must be opposite across ends in d1"],
+        ),
+        "nontrivial-undefined-multiplicity": (
+            smooth_level_one,
+            lambda o: _set(o, _slot(0, 0) + ("s",), None),
+            validate_structure,
+            ["main@zs: nontrivial component with undefined multiplicity in d1"],
+        ),
+        "node-on-one-point": (
+            smooth_level_one,
+            lambda o: _set(o, ("nodes", 0, "ends", 1), "main@zs"),
+            validate_structure,
+            [
+                "zs: node must join two distinct points",
+                "point main@zs lies on 2 nodes",
+                "cap@zs: marked point on an infinity divisor (d1)",
+                "marked contact degree 6 != A.V = 3",
+            ],
+        ),
+        "unknown-point": (
+            smooth_level_one,
+            lambda o: _set(o, ("nodes", 0, "ends", 1), "nowhere"),
+            validate_structure,
+            [
+                "zs: unknown point nowhere",
+                "cap@zs: marked point on an infinity divisor (d1)",
+                "marked contact degree 6 != A.V = 3",
+            ],
+        ),
+        "point-on-two-nodes": (
+            smooth_level_one,
+            lambda o: o["nodes"].append({"id": "zz", "ends": ["main@zs", "cap@mk"]}),
+            validate_structure,
+            ["point main@zs lies on 2 nodes", "marked contact degree 0 != A.V = 3"],
+        ),
+        "marked-on-infinity": (
+            smooth_level_one,
+            lambda o: _set(o, _slot(1, 1) + ("eps",), -1),
+            validate_structure,
+            ["cap@mk: marked point on an infinity divisor (d1)"],
+        ),
+        "trivial-cycle": (
+            neck2,
+            lambda o: _set(o, ("nodes", 1, "ends", 0), "g2@x1"),
+            _contraction_error,
+            ["trivial components around g1 form a cycle"],
+        ),
+        "chain-two-marked-ends": (
+            neck2,
+            lambda o: o["nodes"].pop(2),
+            _contraction_error,
+            ["chain through g2 has two marked ends"],
+        ),
+        "image-strata-differ": (
+            smooth_level_one,
+            lambda o: _set(o, ("components", 1, "points", 0, "stratum"), "h2"),
+            check_naive,
+            ["zs: image strata differ (h1 vs h2)"],
+        ),
+        "branch-sets-differ": (
+            smooth_level_one,
+            lambda o: _set(o, _slot(1, 0) + ("direction",), "d2"),
+            check_naive,
+            ["zs: branch sets differ (('d1',) vs ('d2',))"],
+        ),
+        "multiplicity-drifts": (
+            neck2,
+            lambda o: _set(o, _slot(3, 1) + ("s",), 2),
+            check_broken_cylinders,
+            [
+                "marked:g2@x1: multiplicity drifts along the fiber in d1: [1, 2]",
+                "marked:g2@x1: no multiplicity available in d1",
+            ],
+        ),
+        "no-multiplicity": (
+            smooth_level_one,
+            lambda o: (_set(o, _slot(0, 0) + ("s",), None), _set(o, _slot(1, 0) + ("s",), None)),
+            check_broken_cylinders,
+            [
+                "node:cap@zs|main@zs: no multiplicity available in d1",
+                "node:cap@zs|main@zs: node zs moves in no direction",
+            ],
+        ),
+        "level-jumps": (
+            smooth_level_one,
+            lambda o: (_set(o, ("building", "m"), 2), _set(o, ("components", 1, "levels", "d1"), 2)),
+            check_broken_cylinders,
+            [
+                "node:cap@zs|main@zs: level jumps by -2 in d1",
+                "node:cap@zs|main@zs: node zs moves in no direction",
+            ],
+        ),
+        "level-jumps-into-marked-end": (
+            neck2,
+            lambda o: _set(o, _slot(3, 1, 1) + ("level",), 0),
+            check_broken_cylinders,
+            ["marked:g2@x1: level jumps by -1 into the marked endpoint in d2"],
+        ),
+        "levels-not-monotone": (
+            # g2 thawed in d1 and put back at level 0: d1 goes 0, 1, 0
+            neck2,
+            lambda o: (
+                _set(o, ("components", 3, "levels", "d1"), 0),
+                _set(o, _slot(3, 0) + ("formal",), False),
+                _set(o, _slot(3, 1) + ("formal",), False),
+                _set(o, _slot(3, 1) + ("level",), 0),
+            ),
+            check_broken_cylinders,
+            ["marked:g2@x1: levels are not monotone in d1", "marked:g2@x1: repeated node level in d1"],
+        ),
+        "node-does-not-move": (
+            smooth_level_one,
+            lambda o: _set(o, ("components", 1, "levels", "d1"), 0),
+            check_broken_cylinders,
+            [
+                "node:cap@zs|main@zs: node does not move in d1",
+                "node:cap@zs|main@zs: node zs moves in no direction",
+            ],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_full_report(self, case):
+        build, edit, report_of, report = self.CASES[case]
+        obj = maptype_to_dict(build())
+        edit(obj)
+        assert report_of(maptype_from_dict(obj)) == report
