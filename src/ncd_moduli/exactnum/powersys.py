@@ -8,12 +8,14 @@ is the product of the nonzero elementary divisors, and the continuous part
 is the kernel torus of M.
 
 A system with one unknown, mu^{s_k} = p_k (enhanced matching, gluing and
-the weighted-projective test all solve these), builds no Smith form: the
-prime exponents of mu are those of p_k0 divided by s_k0, for the first
-nonzero s_k0, checked on every row, and the argument runs the Smith form's
-Euclid steps on the column itself, carrying the argument numerators along.  Those steps are
-the ones ``smith_normal_form`` takes on a column, so the branches and their
-order are the same as on the Smith path.
+the weighted-projective test all solve these), builds no Smith form.  One
+pass over the rows keeps the solutions of the rows so far: the prime
+exponents of mu, read off the first row with s_k != 0 and checked on every
+later row, and g theta = y / L (mod 1) for its argument theta, which each row
+joins through an extended gcd.  The first row that breaks either is the
+violated equation, so no prefix is solved again; only a system with two or
+more unknowns does that.  The branches and their order are the ones the
+Smith path gives.
 """
 
 from __future__ import annotations
@@ -109,57 +111,48 @@ class PowerSystemSolution:
         return self.consistent
 
 
-def _solve_column(s: list[int], values: Sequence[ExactNonzeroComplex]):
-    """``_solve_once`` for one unknown: mu^{s_k} = values[k].
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(h, u, w) with h = gcd(a, b) = u*a + w*b and h >= 0."""
+    u0, w0, u1, w1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        u0, u1 = u1, u0 - q * u1
+        w0, w1 = w1, w0 - q * w1
+    return (a, u0, w0) if a >= 0 else (-a, -u0, -w0)
 
-    The magnitude of mu is read off the first row with s_k != 0 and checked
-    against every row.  The argument runs the Smith form's own Euclid steps
-    on the column (first entry of least |s_k| to the top, remainder-and-swap
-    until one entry is left, then its sign made positive), applying each row
-    operation to the argument numerators as well.  So ``t`` is U A for the U
-    ``smith_normal_form`` would build, V is [[1]], and the branches, their
-    order included, are the ones the Smith path gives.
+
+def _solve_column(s: list[int], values: Sequence[ExactNonzeroComplex]) -> PowerSystemSolution:
+    """Solve mu^{s_k} = values[k] in one pass over the rows.
+
+    After row k the pass holds the solutions of rows 0..k: the magnitude
+    ``mag`` of mu, set by the first row with s_k != 0, and a pair (g, y)
+    with g theta = y / L (mod 1) for the argument theta, L the lcm of the
+    arguments' denominators.  Row k, s_k theta = a_k / L, joins through
+    h = gcd(g, s_k) = u g + w s_k: the two hold together iff h theta = z / L
+    with z = u y + w a_k, (g/h) z = y and (s_k/h) z = a_k (mod L).  So the
+    first row that fails either check is the violated equation.  For g > 0
+    the solution set fixes y mod L, so the branches theta_j = (y/L + j) / g,
+    their order included, are the ones the Smith path gives.
     """
-    k0 = next((k for k, x in enumerate(s) if x), None)
-    mag_maps = [dict(v.mag) for v in values]
-    mag = []
-    for p in sorted(set().union(*mag_maps)):
-        exps = [m.get(p, 0) for m in mag_maps]
-        ep = Fraction(exps[k0], s[k0]) if k0 is not None else 0
-        if any(e != ep * sk for e, sk in zip(exps, s)):
-            return None
-        if ep:
-            mag.append((p, ep))
     L = math.lcm(*[v.arg.denominator for v in values])
-    t = [v.arg.numerator * (L // v.arg.denominator) for v in values]
-    if k0 is not None:
-        top = min((k for k in range(k0, len(s)) if s[k]), key=lambda k: abs(s[k]))
-        s[0], s[top] = s[top], s[0]
-        t[0], t[top] = t[top], t[0]
-        dirty = True
-        while dirty:
-            dirty = False
-            for k in range(1, len(s)):
-                if s[k]:
-                    q = s[k] // s[0]
-                    s[k] -= q * s[0]
-                    t[k] -= q * t[0]
-                    if s[k]:
-                        s[0], s[k] = s[k], s[0]
-                        t[0], t[k] = t[k], t[0]
-                        dirty = True
-        if s[0] < 0:
-            s[0], t[0] = -s[0], -t[0]
-    g = s[0]
-    t = [x % L for x in t]
-    if any(t[1:]) or (t[0] and not g):
-        return None
+    mag, g, y = None, 0, 0
+    for k, (sk, v) in enumerate(zip(s, values)):
+        if sk and mag is None:
+            mag = tuple([(p, e / sk) for p, e in v.mag])
+        elif v.mag != (tuple([(p, e * sk) for p, e in mag]) if sk else ()):
+            return PowerSystemSolution(False, k, 0, 0, ())
+        a = v.arg.numerator * (L // v.arg.denominator)
+        h, u, w = _xgcd(g, sk)
+        z = (u * y + w * a) % L
+        q = h or 1  # h = 0 only when g = s_k = 0, and then y = z = 0
+        if (g // q * z - y) % L or (sk // q * z - a) % L:
+            return PowerSystemSolution(False, k, 0, 0, ())
+        g, y = h, z
     if not g:
-        branches = TorsionBranches((tuple(mag),), (), (0,), ((),), L)
-        return PowerSystemSolution(True, None, 1, 1, branches)
+        return PowerSystemSolution(True, None, 1, 1, TorsionBranches((mag or (),), (), (0,), ((),), L))
     den = L * g
-    branches = TorsionBranches((tuple(mag),), (g,), (t[0],), ((L % den,),), den)
-    return PowerSystemSolution(True, None, g, 0, branches)
+    return PowerSystemSolution(True, None, g, 0, TorsionBranches((mag,), (g,), (y,), ((L % den,),), den))
 
 
 def _solve_once(rows: list[list[int]], values: Sequence[ExactNonzeroComplex]):
@@ -169,12 +162,9 @@ def _solve_once(rows: list[list[int]], values: Sequence[ExactNonzeroComplex]):
     integer numerator over one common denominator ``den``, so the solution
     keeps only the per-unknown offsets, the per-digit steps and the
     magnitudes, and ``TorsionBranches`` builds a branch when it is read.
-    A system with one unknown goes to ``_solve_column``.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    if n == 1:
-        return _solve_column([row[0] for row in rows], values)
     # magnitude: one rational elimination of M with a right-hand side per prime
     # in the combined support; a pivot in a right-hand side is an inconsistency
     primes = sorted({p for v in values for p, _ in v.mag})
@@ -225,14 +215,18 @@ def solve_power_system(M, values: Sequence[ExactNonzeroComplex]) -> PowerSystemS
     is read, or an inconsistency report carrying the index of the first
     equation that cannot be satisfied together with its predecessors.
 
-    A system with one unknown (M a column) is solved by the Euclid steps of
-    the Smith form run on the column alone, without building U or V; its
-    branches, in order, are the ones the Smith form gives.
+    A system with one unknown (M a column) is solved in one pass over its
+    rows, without a Smith form, and that pass stops at the violated
+    equation; its branches, in order, are the ones the Smith form gives.
+    Only a system with two or more unknowns finds the violated equation by
+    solving its prefixes again.
     """
     rows = _int_rows(M)
     values = list(values)
     if len(rows) != len(values):
         raise ValueError("one right-hand side per equation is required")
+    if rows and len(rows[0]) == 1:
+        return _solve_column([row[0] for row in rows], values)
     full = _solve_once(rows, values)
     if full is not None:
         return full

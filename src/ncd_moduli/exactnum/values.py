@@ -24,6 +24,7 @@ import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from numbers import Rational
 from typing import Iterable, Mapping, Union
 
 from ..jsonfields import _RATIONAL_DIGITS, _json_int_key
@@ -32,10 +33,16 @@ RationalLike = Union[int, str, Fraction]
 
 
 def as_rational(x: RationalLike) -> Fraction:
-    """Coerce ints, strings like '3/2', and Fractions to Fraction."""
+    """Coerce ints, strings like '3/2', Fractions and other exact rationals to Fraction.
+
+    Anything else, a binary floating-point number among them, raises
+    ``ValueError`` naming it: its value is rarely the rational meant.
+    """
     if isinstance(x, Fraction):
         return x
-    return Fraction(x)
+    if isinstance(x, (Rational, str)):
+        return Fraction(x)
+    raise ValueError(f"{x!r} is not an integer, a Fraction or a rational string")
 
 
 # Trial division in _factor stops below this bound.
@@ -74,9 +81,11 @@ def _factor(n: int) -> dict[int, int]:
 def _norm_mag(items: Iterable[tuple[int, Fraction]]) -> tuple[tuple[int, Fraction], ...]:
     acc: dict[int, Fraction] = {}
     for p, e in items:
+        if not isinstance(p, int):
+            raise ValueError(f"magnitude key {p!r} is not an integer")
         if p < 2:
             raise ValueError(f"magnitude keys must be primes >= 2, got {p}")
-        acc[p] = acc.get(p, Fraction(0)) + e
+        acc[p] = acc.get(p, Fraction(0)) + as_rational(e)
     return tuple(sorted((p, e) for p, e in acc.items() if e != 0))
 
 
@@ -149,7 +158,8 @@ class ExactNonzeroComplex:
 
     @classmethod
     def from_parts(cls, mag: Mapping[int, RationalLike], arg: RationalLike = 0) -> "ExactNonzeroComplex":
-        return cls(tuple((int(p), as_rational(e)) for p, e in mag.items()), as_rational(arg))
+        """The value prod_p p^{mag[p]} * exp(2 pi i arg); every key must be an int."""
+        return cls(tuple(mag.items()), arg)
 
     # -- views -------------------------------------------------------------
 

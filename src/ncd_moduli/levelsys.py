@@ -273,12 +273,6 @@ class GluingProblem:
     nodes: tuple[GluingNode, ...]
     lambdas: tuple[tuple[int, ExactNonzeroComplex], ...]
 
-    def lam(self, level: int) -> ExactNonzeroComplex:
-        table = dict(self.lambdas)
-        if level not in table:
-            raise KeyError(f"no gluing parameter for level {level}")
-        return table[level]
-
 
 @dataclass(frozen=True)
 class GluingNodeSolution:
@@ -309,8 +303,10 @@ def solve_gluing(gp: GluingProblem) -> GluingSolution:
 
     A direction whose lifts sit at levels (lo, hi) crosses the gluing events
     at levels lo+1..hi, so those are the parameters multiplied; a
-    smooth-divisor node of multiplicity s has exactly s solutions.
+    smooth-divisor node of multiplicity s has exactly s solutions.  A level
+    crossed that has no parameter raises ``KeyError`` naming it.
     """
+    table = dict(gp.lambdas)
     out = []
     for node in gp.nodes:
         rows = []
@@ -319,7 +315,9 @@ def solve_gluing(gp: GluingProblem) -> GluingSolution:
             lo, hi = d.level_range
             acc = ExactNonzeroComplex.one()
             for l in range(lo + 1, hi + 1):
-                acc = acc * gp.lam(l)
+                if l not in table:
+                    raise KeyError(f"no gluing parameter for level {l}")
+                acc = acc * table[l]
             rows.append([d.multiplicity])
             rhs.append(acc * d.product.inverse())
         sol = solve_power_system(rows, rhs)

@@ -687,10 +687,13 @@ def wproj_equal(
     b: Sequence[ExactNonzeroComplex],
     weights: Sequence[int],
 ) -> bool:
-    """Equality in the weighted projectivization: b_i = t^{w_i} a_i for some t."""
+    """Equality in the weighted projectivization: b_i = t^{w_i} a_i for some t.
+
+    A weight that is not an integer raises ``ValueError`` naming it.
+    """
     if not (len(a) == len(b) == len(weights)):
         raise ValueError("lengths must agree")
-    rows = [[int(w)] for w in weights]
+    rows = [[w] for w in weights]
     rhs = [bi / ai for ai, bi in zip(a, b)]
     return solve_power_system(rows, rhs).consistent
 

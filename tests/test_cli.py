@@ -743,6 +743,36 @@ class TestGlue:
         assert out == ""
         assert "multiplicity 0 in d1 must be positive" in err
 
+    @staticmethod
+    def _long_chain(levels):
+        """One direction crossing levels 1..levels, each with parameter 2."""
+        return {
+            "levels": {str(l): {"primes": {"2": "1"}, "arg": "0"} for l in range(1, levels + 1)},
+            "nodes": [{"id": "x", "directions": [
+                {"direction": "d1", "s": 1, "product": {"primes": {}, "arg": "0"}, "range": [0, levels]}]}],
+        }
+
+    def test_many_levels_linear(self, capsys, tmp_path):
+        path = tmp_path / "glue.json"
+        path.write_text(json.dumps(self._long_chain(20000)), encoding="utf-8")
+        # CPU time, as in TestMalformedCoeff; a parameter table rebuilt per
+        # crossed level takes seconds here
+        start = time.process_time()
+        code, out, _ = invoke(capsys, "glue", str(path))
+        elapsed = time.process_time() - start
+        assert code == 0
+        assert out.endswith("total branches: 1\n")
+        assert elapsed < 2, f"{elapsed:.3f} s"
+
+    def test_missing_level_exit_2(self, capsys, tmp_path):
+        payload = self._long_chain(3)
+        del payload["levels"]["2"]
+        path = tmp_path / "glue.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = invoke(capsys, "glue", str(path))
+        assert (code, out) == (2, "")
+        assert "no gluing parameter for level 2" in err
+
 
 class TestExample:
     def test_unknown_fixture(self, capsys):

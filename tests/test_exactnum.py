@@ -20,6 +20,8 @@ from ncd_moduli.exactnum import (
     strict_positive_solution,
     verify_solution,
 )
+from ncd_moduli.exactnum import powersys
+from ncd_moduli.maptype import wproj_equal
 from oracle_helpers import (
     arg_grid_solutions,
     fourier_motzkin_feasible,
@@ -641,14 +643,23 @@ class TestPowerSystems:
         assert (sol.branch_count, sol.kernel_rank) == (1, 0)
         assert list(sol.solutions) == [()]
 
-    @pytest.mark.parametrize("entry", [Fraction(1, 2), 1.5, 2.0, "2"], ids=repr)
+    @pytest.mark.parametrize("entry", [Fraction(1, 2), 1.5, 2.0, "2", 0.1, 2.7], ids=repr)
     def test_non_integer_entry_rejected(self, entry):
         v = ExactNonzeroComplex.from_rational(4)
-        for call in (
+        calls = [
             lambda: solve_power_system([[entry]], [v]),
             lambda: verify_solution([[entry]], [v], [v]),
             lambda: smith_normal_form([[entry]]),
-        ):
+            lambda: wproj_equal([v], [v], [entry]),
+            lambda: ExactNonzeroComplex.from_parts({entry: 1}),
+        ]
+        if isinstance(entry, float):
+            # a Fraction or a string is an exact exponent or argument; a float is not
+            calls += [
+                lambda: ExactNonzeroComplex(arg=entry),
+                lambda: ExactNonzeroComplex.from_parts({2: entry}),
+            ]
+        for call in calls:
             with pytest.raises(ValueError, match="is not an integer"):
                 call()
 
@@ -687,6 +698,36 @@ class TestPowerSystems:
                 sol.solutions[i]
         assert list(sol.solutions) == listed
         assert solve_power_system(M, values) == sol
+
+    def test_column_violation_in_one_pass(self, monkeypatch):
+        # rows 0..3 fix the argument of mu; row 4 turns its value by a half
+        mu = ExactNonzeroComplex.from_parts({2: Fraction(1, 3)}, Fraction(1, 7))
+        s = [2, 3, 4, 6, 5, 1]
+        values = [mu.pow(x) for x in s]
+        values[4] = values[4] * ExactNonzeroComplex.from_rational(-1)
+        solve_column, column_calls = powersys._solve_column, []
+
+        def column(*args):
+            column_calls.append(args)
+            return solve_column(*args)
+
+        def forbidden(*args):
+            raise AssertionError("a column system reached the Smith path")
+
+        monkeypatch.setattr(powersys, "_solve_column", column)
+        for name in ("_solve_once", "smith_normal_form", "_rref"):
+            monkeypatch.setattr(powersys, name, forbidden)
+        sol = solve_power_system([[x] for x in s], values)
+        assert not sol.consistent and sol.violated_equation == 4
+        assert len(column_calls) == 1
+
+    def test_huge_multiplicities_column(self):
+        mu = ExactNonzeroComplex.from_parts({2: Fraction(1, 3)}, Fraction(1, 7))
+        M = [[10**30], [10**20]]
+        values = [mu.pow(10**30), mu.pow(10**20)]
+        sol = solve_power_system(M, values)
+        assert sol.consistent and sol.branch_count == 10**20
+        assert verify_solution(M, values, sol.solutions[0])
 
     def test_diagonal_300_first_branch_fast(self):
         M = [[300, 0], [0, 300]]
