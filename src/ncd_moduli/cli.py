@@ -267,6 +267,7 @@ def _cmd_levels(args) -> int:
 def _cmd_glue(args) -> int:
     obj = _parse_json(_read_text(args.file), "gluing file")
     from . import levelsys as ls
+    from .exactnum import coeff_to_json
 
     try:
         gp = ls.gluing_from_dict(obj)
@@ -283,10 +284,7 @@ def _cmd_glue(args) -> int:
             {
                 "id": n.node,
                 "count": n.count,
-                "solutions": [
-                    {"primes": {str(p): str(e) for p, e in mu.mag}, "arg": str(mu.arg)}
-                    for mu in n.solutions
-                ],
+                "solutions": [coeff_to_json(mu) for mu in n.solutions],
                 "failure": n.failure,
             }
             for n in sol.nodes

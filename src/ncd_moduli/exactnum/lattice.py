@@ -3,6 +3,20 @@
 The Smith form U A V = D (U, V unimodular, D diagonal with a divisibility
 chain) is the workhorse for solving congruence systems over Q/Z: it counts
 and enumerates the torsion branches of multiplicative power systems.
+
+``smith_normal_form`` clears row and column t around the pivot D[t][t] with
+two kinds of step (Kannan and Bachem, 1979).  Where the pivot a divides the
+entry b, it subtracts b/a times the pivot's row (or column), which changes
+only the one row (column).  Otherwise the extended-gcd step, with
+h = gcd(a, b) = u a + w b, maps the two rows (columns) x, y to u x + w y and
+(a/h) y - (b/h) x: it is unimodular, puts h in the pivot and 0 in the
+entry.  Since a does not divide b, h is a proper divisor of |a|, at most
+|a|/2, so a pivot a sees at most log2 |a| extended-gcd steps.  The passes
+repeat only after an extended-gcd column step, which can refill column t
+below the pivot, or after the offender step that adds a row to row t to
+restore the divisibility chain; the column pass right after an offender step
+makes an extended-gcd step.  So the passes for each pivot are finite, and
+the loop ends.
 """
 
 from __future__ import annotations
@@ -29,6 +43,17 @@ def _int_rows(A) -> list[list[int]]:
     return out
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(h, u, w) with h = gcd(a, b) = u*a + w*b and h >= 0."""
+    u0, w0, u1, w1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        u0, u1 = u1, u0 - q * u1
+        w0, w1 = w1, w0 - q * w1
+    return (a, u0, w0) if a >= 0 else (-a, -u0, -w0)
+
+
 def smith_normal_form(A) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (U, D, V) with U*A*V = D, U and V unimodular, each a tuple of
     int row tuples.
@@ -43,81 +68,61 @@ def smith_normal_form(A) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     n = len(D[0]) if m else 0
     U = [[int(i == j) for j in range(m)] for i in range(m)]
     V = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in D:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def addmul_row(dst, src, q):
-        D[dst] = [a + q * b for a, b in zip(D[dst], D[src])]
-        U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
-
-    def addmul_col(dst, src, q):
-        for row in D:
-            row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        D[i] = [-a for a in D[i]]
-        U[i] = [-a for a in U[i]]
-
-    t = 0
-    while t < min(m, n):
-        # locate the minimal nonzero entry of the trailing submatrix
-        pos = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                a = abs(D[i][j])
-                if a and (best is None or a < best):
-                    best = a
-                    pos = (i, j)
+    for t in range(min(m, n)):
+        # the first nonzero entry of the trailing submatrix, row by row
+        pos = (t, t) if D[t][t] else next(
+            ((i, j) for i in range(t, m) for j in range(t, n) if D[i][j]), None)
         if pos is None:
             break
-        swap_rows(t, pos[0])
-        swap_cols(t, pos[1])
-        while True:
-            # clear column t by Euclid steps, keeping the smallest remainder
-            # as the pivot
-            dirty = False
+        i, j = pos
+        D[t], D[i] = D[i], D[t]
+        U[t], U[i] = U[i], U[t]
+        # rows above t are zero from column t on, so column steps skip them
+        if j != t:
+            for row in (*D[t:], *V):
+                row[t], row[j] = row[j], row[t]
+        repeat = True
+        while repeat:
             for i in range(t + 1, m):
-                if D[i][t] != 0:
-                    q = D[i][t] // D[t][t]
-                    addmul_row(i, t, -q)
-                    if D[i][t] != 0:
-                        swap_rows(i, t)
-                        dirty = True
+                a, b = D[t][t], D[i][t]
+                if b % a:
+                    h, u, w = _xgcd(a, b)
+                    a, b = a // h, b // h
+                    for M in (D, U):
+                        M[t], M[i] = ([u * x + w * y for x, y in zip(M[t], M[i])],
+                                      [a * y - b * x for x, y in zip(M[t], M[i])])
+                elif b:
+                    q = b // a
+                    for M in (D, U):
+                        M[i] = [y - q * x for x, y in zip(M[t], M[i])]
+            repeat = False
+            cols = (*D[t:], *V)
             for j in range(t + 1, n):
-                if D[t][j] != 0:
-                    q = D[t][j] // D[t][t]
-                    addmul_col(j, t, -q)
-                    if D[t][j] != 0:
-                        swap_cols(j, t)
-                        dirty = True
-            if dirty:
-                continue
-            # enforce the divisibility chain
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if D[i][j] % D[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            addmul_row(t, offender, 1)
+                a, b = D[t][t], D[t][j]
+                if b % a:
+                    h, u, w = _xgcd(a, b)
+                    a, b = a // h, b // h
+                    for row in cols:
+                        row[t], row[j] = u * row[t] + w * row[j], a * row[j] - b * row[t]
+                    # w != 0 since a does not divide b, so column t may be
+                    # nonzero below the pivot again
+                    repeat = True
+                elif b:
+                    q = b // a
+                    for row in cols:
+                        row[j] -= q * row[t]
+            if not repeat:
+                # the divisibility chain: a row whose entry the pivot does not
+                # divide is added to row t, and the next column pass lowers it
+                a = D[t][t]
+                i = next((i for i in range(t + 1, m) if any(x % a for x in D[i][t + 1:])), None)
+                if i is not None:
+                    for M in (D, U):
+                        M[t] = [x + y for x, y in zip(M[t], M[i])]
+                    repeat = True
         if D[t][t] < 0:
-            negate_row(t)
-        t += 1
+            for M in (D, U):
+                M[t] = [-x for x in M[t]]
     return tuple(map(tuple, U)), tuple(map(tuple, D)), tuple(map(tuple, V))
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .lattice import _int_rows, smith_normal_form
+from .lattice import _int_rows, _xgcd, smith_normal_form
 from .linalg import _rref
 from .values import ExactNonzeroComplex
 
@@ -109,17 +109,6 @@ class PowerSystemSolution:
 
     def __bool__(self) -> bool:
         return self.consistent
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(h, u, w) with h = gcd(a, b) = u*a + w*b and h >= 0."""
-    u0, w0, u1, w1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        u0, u1 = u1, u0 - q * u1
-        w0, w1 = w1, w0 - q * w1
-    return (a, u0, w0) if a >= 0 else (-a, -u0, -w0)
 
 
 def _solve_column(s: list[int], values: Sequence[ExactNonzeroComplex]) -> PowerSystemSolution:

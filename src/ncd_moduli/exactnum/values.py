@@ -79,12 +79,16 @@ def _factor(n: int) -> dict[int, int]:
 
 
 def _norm_mag(items: Iterable[tuple[int, Fraction]]) -> tuple[tuple[int, Fraction], ...]:
+    """The normal form of (prime, exponent) pairs; every key must be a prime
+    below _MR_BOUND, so that equal values have equal normal forms."""
     acc: dict[int, Fraction] = {}
     for p, e in items:
         if not isinstance(p, int):
             raise ValueError(f"magnitude key {p!r} is not an integer")
-        if p < 2:
-            raise ValueError(f"magnitude keys must be primes >= 2, got {p}")
+        if p >= _MR_BOUND:
+            raise ValueError(f"magnitude key {p} is not below {_MR_BOUND}, the bound of the primality check")
+        if not _is_prime(p):
+            raise ValueError(f"magnitude key {p} is not a prime")
         acc[p] = acc.get(p, Fraction(0)) + as_rational(e)
     return tuple(sorted((p, e) for p, e in acc.items() if e != 0))
 
@@ -139,14 +143,16 @@ class ExactNonzeroComplex:
         num, den = abs(q).numerator, abs(q).denominator
         mag = [(p, Fraction(e)) for p, e in _factor(num).items()]
         mag += [(p, Fraction(-e)) for p, e in _factor(den).items()]
-        return cls(tuple(mag), arg)
+        # _factor's keys are primes and num, den are coprime, so the sorted
+        # pairs are already in normal form
+        return cls._normalised(tuple(sorted(mag)), arg)
 
     @classmethod
     def _normalised(cls, mag: tuple[tuple[int, Fraction], ...], arg: Fraction) -> "ExactNonzeroComplex":
         """Build a value from data already in normal form, without ``_norm_mag``.
 
-        The group operations and the torsion branches build every result
-        here.  The caller guarantees the invariant ``__post_init__`` would establish:
+        The group operations, the torsion branches and ``from_rational``
+        build every result here.  The caller guarantees the invariant ``__post_init__`` would establish:
         ``mag`` is a tuple of (prime, exponent) pairs sorted by prime, with
         distinct primes and nonzero ``Fraction`` exponents, and ``arg`` is a
         ``Fraction`` in [0, 1).  Data that break it break equality and hashing.
@@ -158,7 +164,8 @@ class ExactNonzeroComplex:
 
     @classmethod
     def from_parts(cls, mag: Mapping[int, RationalLike], arg: RationalLike = 0) -> "ExactNonzeroComplex":
-        """The value prod_p p^{mag[p]} * exp(2 pi i arg); every key must be an int."""
+        """The value prod_p p^{mag[p]} * exp(2 pi i arg); every key must be a
+        prime below _MR_BOUND, or ``ValueError`` names it."""
         return cls(tuple(mag.items()), arg)
 
     # -- views -------------------------------------------------------------
@@ -298,12 +305,8 @@ def coeff_from_json(obj: Mapping) -> ExactNonzeroComplex:
     primes = obj.get("primes", {})
     if not isinstance(primes, Mapping):
         raise ValueError(f"coefficient primes must be an object, not {type(primes).__name__}")
-    mag = {}
-    for key, e in primes.items():
-        p = _json_int_key(key, "magnitude key")
-        if p >= _MR_BOUND:
-            raise ValueError(f"magnitude key {key} is not below {_MR_BOUND}, the bound of the primality check")
-        if not _is_prime(p):
-            raise ValueError(f"magnitude key {key} is not a prime")
-        mag[p] = _json_rational(e, f"coefficient exponent of prime {key}")
+    mag = {
+        _json_int_key(key, "magnitude key"): _json_rational(e, f"coefficient exponent of prime {key}")
+        for key, e in primes.items()
+    }
     return ExactNonzeroComplex.from_parts(mag, _json_rational(obj.get("arg", "0"), "coefficient arg"))

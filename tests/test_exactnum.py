@@ -365,6 +365,8 @@ class TestFactor:
             rebuilt *= Fraction(p) ** e
         assert value.arg in (0, Fraction(1, 2))
         assert (rebuilt if value.arg == 0 else -rebuilt) == Fraction(a, b)
+        # from_rational skips the constructor's normalisation; it must not need it
+        assert value == ExactNonzeroComplex(value.mag, value.arg)
 
     def test_two_large_primes_rejected_fast(self):
         start = time.perf_counter()
@@ -377,11 +379,20 @@ class TestCoeffJson:
     def test_composite_key_rejected(self):
         with pytest.raises(ValueError, match="magnitude key 4 is not a prime"):
             coeff_from_json({"primes": {"4": "1"}})
+        # otherwise 4^1 would compare unequal to 2^2
+        with pytest.raises(ValueError, match="magnitude key 4 is not a prime"):
+            ExactNonzeroComplex.from_parts({4: 1})
+        with pytest.raises(ValueError, match="magnitude key 9 is not a prime"):
+            ExactNonzeroComplex(((9, Fraction(1)),))
 
     @pytest.mark.parametrize("key", ["0", "1", "-3"])
     def test_small_keys_rejected(self, key):
         with pytest.raises(ValueError, match=f"magnitude key {key} is not a prime"):
             coeff_from_json({"primes": {key: "1"}})
+        with pytest.raises(ValueError, match=f"magnitude key {key} is not a prime"):
+            ExactNonzeroComplex.from_parts({int(key): 1})
+        with pytest.raises(ValueError, match=f"magnitude key {key} is not a prime"):
+            ExactNonzeroComplex(((int(key), Fraction(1)),))
 
     def test_large_prime_accepted(self):
         p = 2**61 - 1
@@ -572,6 +583,38 @@ class TestSmith:
     def test_returns_int_row_tuples(self):
         assert smith_normal_form([[2, 4]]) == (((1,),), ((2, 0),), ((1, -2), (0, 1)))
         assert smith_normal_form([]) == ((), (), ())
+
+    @given(
+        st.integers(1, 10).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=1, max_size=10
+            )
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_snf_up_to_10x10_within_cpu_bound(self, rows):
+        _check_snf_within_cpu_bound(rows)
+
+    # Under remainder-and-swap elimination these two ran past 10 s.
+    @pytest.mark.parametrize("k, seed", [(6, 3), (7, 1)], ids=["6x6-seed3", "7x7-seed1"])
+    def test_blow_up_probe_finishes(self, k, seed):
+        rng = random.Random(seed)
+        _check_snf_within_cpu_bound([[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)])
+
+
+def _check_snf_within_cpu_bound(rows):
+    """U A V = D with U, V unimodular and D a Smith form, in under 0.1 s of CPU."""
+    start = time.process_time()
+    U, D, V = smith_normal_form(rows)
+    assert time.process_time() - start < 0.1
+    m, n = len(rows), len(rows[0])
+    assert _mat_mul(_mat_mul([list(r) for r in U], rows), [list(r) for r in V]) == [list(r) for r in D]
+    assert abs(_det(U)) == 1 and abs(_det(V)) == 1
+    assert all(D[i][j] == 0 for i in range(m) for j in range(n) if i != j)
+    diag = [D[i][i] for i in range(min(m, n))]
+    nz = [d for d in diag if d]
+    assert all(d > 0 for d in nz) and diag[: len(nz)] == nz
+    assert all(b % a == 0 for a, b in zip(nz, nz[1:]))
 
 
 def _mat_mul(a, b):
