@@ -188,11 +188,18 @@ def _builder(
                 # at the top level the zero side is part of the building's divisor
                 if lv[slot] < slot_bounds[rep[1]]:
                     zero_side.append(plus)
+        # each zero-side label attaches to the -1 label of the orbit one level
+        # up; the matching is perfect when those orbits are pairwise distinct
+        # and as many as the stratum's -1 labels
+        targets = []
         for label in zero_side:
             up = list(label.levels)
             up[label.slot] += 1
-            pairs.append((label, minus[orbit_rep[(tuple(up), label.slot)]]))
-    b = LevelBuilding(
+            targets.append(orbit_rep[(tuple(up), label.slot)])
+        if len(set(targets)) != len(targets) or len(targets) != len(minus):
+            raise AssertionError("attaching map is not a perfect matching on infinity strata")
+        pairs += [(label, minus[rep]) for label, rep in zip(zero_side, targets)]
+    return LevelBuilding(
         divisor=d,
         mode=mode,
         levels_by_component=tuple(sorted(bounds.items())),
@@ -201,15 +208,6 @@ def _builder(
         divisor_strata=tuple(strata_labels),
         attaching=tuple(pairs),
     )
-    _check_matching(b)
-    return b
-
-
-def _check_matching(b: LevelBuilding) -> None:
-    minus = {x for x in b.divisor_strata if x.sign == -1}
-    paired = [q for _, q in b.attaching]
-    if len(paired) != len(set(paired)) or set(paired) != minus:
-        raise AssertionError("attaching map is not a perfect matching on infinity strata")
 
 
 def build(d: CombinatorialDivisor, m: int) -> LevelBuilding:

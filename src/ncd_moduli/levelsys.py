@@ -7,16 +7,17 @@ contributes the equation
 
     s * sum(alpha over its merged nodes) = beta(l) - beta(l-1),
 
-with beta(0) = 0.  Each equation holds the key of its beta(l) from
-``MapType.beta_key``, the one (direction, level) -> beta rule, and reads
-beta(l-1) off that key.  So the two rates of a shared chain with
-multiplicities s1 != s2 on levels l1 != l2 satisfy beta(l1)/s1 =
-beta(l2)/s2.  A strictly
-positive solution is necessary for the type to arise as a limit; the
-dimension of the beta-projection of the solution space is the number of
-independent rescaling parameters, i.e. the stratum's complex codimension.
-That dimension is len(betas) minus the number of independent relations
-among the betas, which one elimination of the level matrix gives.
+with beta(0) = 0.  The equations are the steps of the map type's fiber
+walks (``maptype.walk_fiber``), in walk order; the walk keys each one's
+beta(l) through ``MapType.beta_key``, the one (direction, level) -> beta
+rule, and the equation reads beta(l-1) off that key.  So the two rates of a
+shared chain with multiplicities s1 != s2 on levels l1 != l2 satisfy
+beta(l1)/s1 = beta(l2)/s2.  A strictly positive solution is necessary for
+the type to arise as a limit; the dimension of the beta-projection of the
+solution space is the number of independent rescaling parameters, i.e. the
+stratum's complex codimension.  That dimension is len(betas) minus the
+number of independent relations among the betas, which one elimination of
+the level matrix gives.
 """
 
 from __future__ import annotations
@@ -38,35 +39,11 @@ from .exactnum import (
 )
 from .exactnum.linalg import _rref
 from .jsonfields import _json_int, _json_int_key, _json_list, _json_object, _json_str
-from .maptype import BetaKey, MapType
+from .maptype import BetaKey, LevelEquation, MapType
 
 
 class LevelSystemError(ValueError):
     """Raised when a map type cannot produce a well-formed level system."""
-
-
-@dataclass(frozen=True)
-class LevelEquation:
-    """multiplicity * sum(alpha over nodes) = beta - below, for one projected
-    step in ``direction``; ``beta`` is the step's key from ``MapType.beta_key``."""
-
-    base: str
-    direction: str
-    beta: BetaKey
-    nodes: tuple[str, ...]
-    multiplicity: int
-
-    @property
-    def level(self) -> int:
-        return self.beta if isinstance(self.beta, int) else self.beta[1]
-
-    @property
-    def below(self) -> Optional[BetaKey]:
-        """The key one level down in the same scaling direction, or None at level 1."""
-        level = self.level - 1
-        if level < 1:
-            return None
-        return level if isinstance(self.beta, int) else (self.beta[0], level)
 
 
 @dataclass(frozen=True)
@@ -140,22 +117,9 @@ def _assemble(mt: MapType) -> LevelSystem:
     problems = v.structure or v.naive or v.broken_cylinders
     if problems:
         raise LevelSystemError("; ".join(problems))
-    equations: list[LevelEquation] = []
-    alphas: set[str] = set()
-    for walk in mt.walks:
-        mults = dict(walk.multiplicities)
-        for step in walk.steps:
-            equations.append(
-                LevelEquation(
-                    base=walk.fiber.base_id,
-                    direction=step.direction,
-                    beta=mt.beta_key(step.direction, step.level),
-                    nodes=step.nodes,
-                    multiplicity=mults[step.direction],
-                )
-            )
-            alphas.update(step.nodes)
-    return LevelSystem(tuple(sorted(alphas)), mt.beta_keys, tuple(equations))
+    equations = tuple(eq for walk in mt.walks for eq in walk.steps)
+    alphas = sorted({nid for eq in equations for nid in eq.nodes})
+    return LevelSystem(tuple(alphas), mt.beta_keys, equations)
 
 
 def feasible_positive(sys: LevelSystem) -> Optional[dict]:
@@ -227,15 +191,14 @@ def asymptotic_classes(mt: MapType) -> tuple[AsymptoticClass, ...]:
         union(anchor, ("level", eq.beta))
         if eq.below is not None:
             union(anchor, ("level", eq.below))
-    by_base: dict[str, list[LevelEquation]] = {}
-    for eq in sys.equations:
-        by_base.setdefault(eq.base, []).append(eq)
-    for eqs in by_base.values():
-        first = ("node", eqs[0].nodes[0])
-        for eq in eqs[1:]:
+    for walk in mt.walks:
+        if not walk.steps:
+            continue
+        first = ("node", walk.steps[0].nodes[0])
+        for eq in walk.steps[1:]:
             union(first, ("node", eq.nodes[0]))
-        levels = [eq.level for eq in eqs]
-        for eq in eqs:
+        levels = [eq.level for eq in walk.steps]
+        for eq in walk.steps:
             for l in range(min(levels), max(levels) + 1):
                 key = mt.beta_key(eq.direction, l)
                 if mt.has_beta(key):
@@ -348,21 +311,23 @@ def gluing_problem_from_maptype(mt: MapType) -> GluingProblem:
     nodes = []
     for walk in mt.walks:
         f = walk.fiber
-        mults = dict(walk.multiplicities)
-        dirs = []
-        start = mt.record(f.start_point)
         if f.kind != "node":
             continue
-        end = mt.record(f.end_point)
+        start, end = mt.record(f.start_point), mt.record(f.end_point)
+        dirs = []
         for d in sorted(set(start.directions) & set(end.directions)):
             sa, sb = start.slot(d), end.slot(d)
             if sa.eps == 0 or sb.eps == 0 or sa.coeff is None or sb.coeff is None:
                 continue
-            steps = [s.level for s in walk.steps if s.direction == d]
-            lo = min(steps) - 1 if steps else 0
-            hi = max(steps) if steps else 0
+            eqs = [eq for eq in walk.steps if eq.direction == d]
+            levels = [eq.level for eq in eqs]
             dirs.append(
-                GluingDirection(d, mults.get(d, sa.s), sa.coeff * sb.coeff, (lo, hi))
+                GluingDirection(
+                    d,
+                    eqs[0].multiplicity if eqs else sa.s,
+                    sa.coeff * sb.coeff,
+                    (min(levels) - 1, max(levels)) if levels else (0, 0),
+                )
             )
         if dirs:
             nodes.append(GluingNode(f.base_id, tuple(dirs)))

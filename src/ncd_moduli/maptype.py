@@ -12,16 +12,18 @@ A ``MapType`` computes each fact about itself once, on first use:
 
 - the id lookups;
 - the contraction (``fibers``) and each fiber's walk (``walks``), which
-  every validator and the level system read instead of walking again;
+  every validator and the level system read instead of walking again.  A
+  walk's steps are the level system's equations, one ``LevelEquation`` per
+  node step, each keyed by its ``beta_key`` once, in the walk;
 - the reports of ``validate_structure`` and ``check_naive``, each returned
   as a fresh list;
 - ``validation``, the record that ``validate`` prints and the level system
   is gated on;
 - the building's level unknowns ``beta_keys``, which only the level system
-  lists.  The walks, relative stability, the level system's equations and
-  ``asymptotic_classes`` name a level through ``beta_key``; the walks and
-  ``asymptotic_classes`` test it with ``has_beta``, and relative stability
-  visits the levels in order up to the first one not covered;
+  lists.  The walks, relative stability and ``asymptotic_classes`` name a
+  level through ``beta_key``; the walks and ``asymptotic_classes`` test it
+  with ``has_beta``, and relative stability visits the levels in order up
+  to the first one not covered;
 - its level system, which ``levelsys.build_system`` returns, so
   ``torus_dim``, ``beta_relations`` and ``stratum_codim`` share one
   elimination of its level matrix.
@@ -458,19 +460,36 @@ def _naive_violations(mt: MapType) -> list[str]:
 
 
 @dataclass(frozen=True)
-class ProjectedStep:
-    """One node of a chain after projecting out a direction's frozen part."""
+class LevelEquation:
+    """multiplicity * sum(alpha over nodes) = beta - below, for one projected
+    step in ``direction``; ``beta`` is the step's key from ``MapType.beta_key``,
+    or (None, level) when the direction has no scaling component."""
 
+    base: str
     direction: str
-    level: int
+    beta: BetaKey
     nodes: tuple[str, ...]
+    multiplicity: int
+
+    @property
+    def level(self) -> int:
+        return self.beta if isinstance(self.beta, int) else self.beta[1]
+
+    @property
+    def below(self) -> Optional[BetaKey]:
+        """The key one level down in the same scaling direction, or None at level 1."""
+        level = self.level - 1
+        if level < 1:
+            return None
+        return level if isinstance(self.beta, int) else (self.beta[0], level)
 
 
 @dataclass(frozen=True)
 class FiberWalk:
+    """A fiber's level equations, one per node step, and its broken-cylinder violations."""
+
     fiber: BaseFiber
-    multiplicities: tuple[tuple[str, int], ...]
-    steps: tuple[ProjectedStep, ...]
+    steps: tuple[LevelEquation, ...]
     violations: tuple[str, ...]
 
 
@@ -507,84 +526,70 @@ def _fiber_multiplicity(
 
 
 def walk_fiber(mt: MapType, f: BaseFiber) -> FiberWalk:
+    """Walk each direction of ``f`` from its start, projecting out the chain
+    components frozen in it; each node step that moves one level becomes a
+    ``LevelEquation``."""
     violations: list[str] = []
-    steps: list[ProjectedStep] = []
-    mults: dict[str, int] = {}
+    steps: list[LevelEquation] = []
+    moved: set[str] = set()
     start = mt.owner(f.start_point)
-    chain_comps = [mt.component(cid) for cid in f.chain]
-    moved: dict[str, set[str]] = {}
+    chain = [mt.component(cid) for cid in f.chain]
+    end = mt.owner(f.end_point) if f.kind == "node" else None
     records = [mt.record(f.start_point), mt.record(f.end_point)]
-    records += [r for c in chain_comps for _, r in c.points]
+    records += [r for c in chain for _, r in c.points]
     for d in _fiber_directions(records):
         s, errs = _fiber_multiplicity(f, records, d)
         violations.extend(errs)
-        levels = [c.level(d) for c in [start] + chain_comps]
-        frozen = [False] + [_frozen(c, d) for c in chain_comps] + [False]
-        if f.kind == "node":
-            levels.append(mt.owner(f.end_point).level(d))
-            virtual = [False] * len(levels)
-            node_ids: list[Optional[str]] = list(f.inner_nodes)
-        else:
-            end_slot = mt.record(f.end_point).slot(d)
-            levels.append(end_slot.level if end_slot is not None else levels[-1])
-            virtual = [False] * (len(levels) - 1) + [True]
-            node_ids = list(f.inner_nodes) + [None]
-        # project out frozen components
-        segs = []
+        eqs: list[LevelEquation] = []
+        rising: set[bool] = set()
+        keyless = False
+        lo = start.level(d)
         pending: list[str] = []
-        cur = levels[0]
-        for t in range(1, len(levels)):
-            if node_ids[t - 1] is not None:
-                pending.append(node_ids[t - 1])
-            if t < len(levels) - 1 and frozen[t]:
+        # node t leads into chain[t]; a node fiber's last node leads into its end
+        for t, nid in enumerate(f.inner_nodes):
+            pending.append(nid)
+            comp = chain[t] if t < len(chain) else end
+            if t < len(chain) and _frozen(comp, d):
                 continue
-            segs.append((cur, levels[t], tuple(pending), virtual[t]))
-            pending = []
-            cur = levels[t]
-        deltas = []
-        for lo, hi, nodes, is_virtual in segs:
-            delta = hi - lo
-            if is_virtual:
-                if delta != 0:
-                    violations.append(
-                        f"{f.base_id}: level jumps by {delta} into the marked endpoint in {d}"
-                    )
-                continue
+            nodes, pending = tuple(pending), []
+            hi = comp.level(d)
+            delta, level, lo = hi - lo, max(lo, hi), hi
             if delta == 0:
                 violations.append(f"{f.base_id}: node does not move in {d}")
                 continue
             if abs(delta) > 1:
                 violations.append(f"{f.base_id}: level jumps by {delta} in {d}")
                 continue
-            deltas.append(delta)
-            level = max(lo, hi)
+            rising.add(delta > 0)
             if s is None:
                 violations.append(f"{f.base_id}: no multiplicity available in {d}")
                 continue
-            mults[d] = s
-            steps.append(ProjectedStep(d, level, nodes))
-            for nid in nodes:
-                moved.setdefault(nid, set()).add(d)
-        if deltas and len({x > 0 for x in deltas}) > 1:
+            key = mt.beta_key(d, level)
+            keyless = keyless or key is None
+            eqs.append(LevelEquation(f.base_id, d, (None, level) if key is None else key, nodes, s))
+            moved.update(nodes)
+        if end is None:
+            end_slot = mt.record(f.end_point).slot(d)
+            hi = (chain[-1] if chain else start).level(d) if end_slot is None else end_slot.level
+            if hi != lo:
+                violations.append(f"{f.base_id}: level jumps by {hi - lo} into the marked endpoint in {d}")
+        if len(rising) > 1:
             violations.append(f"{f.base_id}: levels are not monotone in {d}")
-        seen_levels = [st.level for st in steps if st.direction == d]
-        if len(seen_levels) != len(set(seen_levels)):
+        if len({eq.level for eq in eqs}) != len(eqs):
             violations.append(f"{f.base_id}: repeated node level in {d}")
-        keys = [mt.beta_key(d, l) for l in seen_levels]
-        if None in keys:
+        if keyless:
             violations.append(f"{f.base_id}: direction {d} has no scaling component")
-        for l, key in zip(seen_levels, keys):
-            if key is not None and not mt.has_beta(key):
-                violations.append(f"{f.base_id}: direction {d} reaches level {l}, which the building does not have")
+        else:
+            violations += [
+                f"{f.base_id}: direction {d} reaches level {eq.level}, which the building does not have"
+                for eq in eqs
+                if not mt.has_beta(eq.beta)
+            ]
+        steps += eqs
     for nid in f.inner_nodes:
         if nid not in moved:
             violations.append(f"{f.base_id}: node {nid} moves in no direction")
-    return FiberWalk(
-        fiber=f,
-        multiplicities=tuple(sorted(mults.items())),
-        steps=tuple(steps),
-        violations=tuple(violations),
-    )
+    return FiberWalk(f, tuple(steps), tuple(violations))
 
 
 def check_broken_cylinders(mt: MapType) -> list[str]:
@@ -785,7 +790,13 @@ def _point_from_dict(obj, cid: str) -> tuple[str, ContactRecord]:
     stratum = obj.get("stratum")
     if stratum is not None:
         stratum = _json_str(stratum, f"{pid} stratum")
-    return pid, ContactRecord(stratum, tuple(_slot_from_dict(s, pid) for s in slots))
+    slots = tuple(_slot_from_dict(s, pid) for s in slots)
+    seen: set[str] = set()
+    for d, _ in slots:
+        if d in seen:
+            raise ValueError(f"{pid}: direction {d} is listed twice")
+        seen.add(d)
+    return pid, ContactRecord(stratum, slots)
 
 
 def _node_from_dict(obj) -> Node:

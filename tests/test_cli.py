@@ -487,6 +487,14 @@ class TestShapes:
             "validate", ("components", 0, "points", 0, "slots"), "ab", "main@z0 slots = 'ab' is not a list"
         ),
         "slot-int": ("validate", ("components", 0, "points", 0, "slots", 0), 3, "main@z0 slot = 3 is not an object"),
+        "slot-direction-twice": (
+            "validate", ("components", 0, "points", 0, "slots"), [{"direction": "d1", "s": 1}] * 2,
+            "main@z0: direction d1 is listed twice",
+        ),
+        "slot-direction-twice-other-s": (
+            "validate", ("components", 0, "points", 0, "slots"),
+            [{"direction": "d1", "s": 1}, {"direction": "d1", "s": 2}], "main@z0: direction d1 is listed twice",
+        ),
         "nodes-object": ("validate", ("nodes",), {}, "nodes = {} is not a list"),
         "ends-string": ("validate", ("nodes", 0, "ends"), "ab", "z0 ends = 'ab' is not a list"),
         "node-list": ("validate", ("nodes", 0), [], "node = [] is not an object"),

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 import time
 from fractions import Fraction
@@ -547,6 +548,72 @@ class TestAsymptoticClasses:
         )
         exponents = tuple(zip(members, map(Fraction, (2, 2, 4, 2, 1, 1))))
         assert classes == (levelsys.AsymptoticClass(members, exponents),)
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def _is_maptype_file(path: Path) -> bool:
+    """A map-type file lists components and nodes; a gluing file lists only nodes."""
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    return isinstance(obj, dict) and "components" in obj and "nodes" in obj
+
+
+MAPTYPE_FILES = sorted(p.name for p in DATA.glob("*.json") if _is_maptype_file(p))
+
+
+class TestEquationsFromWalks:
+    """The level system's equations are the fibers' walk steps, in walk order."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [smooth_level_one, neck1a, neck1b, neck2, neck3]
+        + [lambda name=name: maptype.loads((DATA / name).read_text(encoding="utf-8")) for name in MAPTYPE_FILES],
+        ids=["smooth_level_one", "neck1a", "neck1b", "neck2", "neck3"] + MAPTYPE_FILES,
+    )
+    def test_equations_are_the_walk_steps(self, build):
+        mt = build()
+        steps = tuple(eq for w in mt.walks for eq in w.steps)
+        assert steps
+        v = mt.validation
+        problems = v.structure or v.naive or v.broken_cylinders
+        if problems:
+            # the gate, not the assembly, refuses a type with violations
+            with pytest.raises(levelsys.LevelSystemError) as e:
+                build_system(mt)
+            assert str(e.value) == "; ".join(problems)
+        else:
+            assert build_system(mt).equations == steps
+
+    @pytest.mark.parametrize("build", [neck1b, neck2], ids=["uniform", "multi"])
+    def test_one_beta_key_per_step(self, monkeypatch, build):
+        mt = build()
+        keys = _counting(monkeypatch, MapType, "beta_key")
+        steps = [eq for w in mt.walks for eq in w.steps]
+        assert [(eq.direction, eq.level) for eq in steps] == [args[1:] for args in keys]
+        assert mt.validation.valid
+        keys.clear()
+        # the assembly keys nothing again
+        assert build_system(mt).equations == tuple(steps)
+        assert keys == []
+
+    def test_map_type_files_found(self):
+        assert MAPTYPE_FILES == ["neck2-nonreciprocal.json", "neck2-two-level.json"]
+
+    def test_direction_without_scaling_component(self):
+        mt = dataclasses.replace(neck2(), direction_components=(("d1", "v1"),))
+        assert check_broken_cylinders(mt) == [
+            "marked:g2@x1: direction d2 has no scaling component",
+            "node:bubble@z0|main@z0: direction d2 has no scaling component",
+        ]
+        # the step keeps its level, so the gluing problem still reads its range
+        d2 = [eq for w in mt.walks for eq in w.steps if eq.direction == "d2"]
+        assert {eq.beta for eq in d2} == {(None, 1)}
+        (node,) = gluing_problem_from_maptype(mt).nodes
+        d = {g.direction: g for g in node.directions}["d2"]
+        assert (d.multiplicity, d.level_range) == (2, (0, 1))
+        with pytest.raises(levelsys.LevelSystemError, match="d2 has no scaling component"):
+            build_system(mt)
 
 
 class TestSolveGluing:

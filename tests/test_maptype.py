@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from ncd_moduli import divisor
 from ncd_moduli.exactnum import ExactNonzeroComplex
-from ncd_moduli.fixtures import neck1a, neck1b, neck2, neck3, smooth_level_one
+from ncd_moduli.fixtures import CATALOG, divisor_for, neck1a, neck1b, neck2, neck3, smooth_level_one
 from ncd_moduli.maptype import (
     Component,
     ContactRecord,
@@ -282,10 +283,29 @@ class TestBrokenCylinders:
         mt = neck1b()
         fibers = {f.base_id: f for f in contraction(mt)}
         walk = walk_fiber(mt, fibers["node:bubble@z4|main@z3"])
-        steps = {(s.direction, s.level): set(s.nodes) for s in walk.steps}
-        assert steps[("d1", 1)] == {"z3", "z4"}
-        assert steps[("d2", 1)] == {"z3"}
-        assert steps[("d2", 2)] == {"z4"}
+        steps = {(s.direction, s.level): s for s in walk.steps}
+        assert set(steps[("d1", 1)].nodes) == {"z3", "z4"}
+        assert set(steps[("d2", 1)].nodes) == {"z3"}
+        assert set(steps[("d2", 2)].nodes) == {"z4"}
+        # a uniform building keys each step by its level
+        assert (steps[("d1", 1)].beta, steps[("d1", 1)].multiplicity) == (1, 1)
+        assert [steps[("d2", l)].multiplicity for l in (1, 2)] == [2, 2]
+
+
+class TestOverDivisor:
+    """Each map-type fixture's records lie on strata of its divisor."""
+
+    @pytest.mark.parametrize(
+        "name, strata",
+        [("neck1a", {"c,c"}), ("neck1b", {"c,c"}), ("neck2", {"v1,v2"}), ("neck3", {"l1", "l2", "l1,l2"})],
+    )
+    def test_record_strata_are_divisor_strata(self, name, strata):
+        d = divisor_for(name)
+        assert divisor.validate(d) == []
+        mt = CATALOG[name].build()
+        records = {r.stratum for c in mt.components for _, r in c.points if r.stratum is not None}
+        assert records == strata
+        assert records <= {s.id for s in d.strata}
 
 
 class TestEnhanced:
