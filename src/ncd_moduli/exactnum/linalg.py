@@ -4,12 +4,15 @@ A matrix is a sequence of equal-length rows of ints or ``Fraction`` values
 (a float or a string entry raises ``ValueError``), and results are
 ``Fraction`` values; there is no floating point anywhere.
 Inside, ``rref`` and the phase-1 simplex share one integer-preserving
-Gauss-Jordan pivot step (``_pivot``, after Bareiss 1968) on sparse rows: each row is scaled once to integers and then held as a
-``{column: nonzero integer}`` map over a positive denominator, and every
-update divides exactly.  A pivot touches only the rows that hold its column,
-and each of those only over its own and the pivot row's columns, so the cost
-follows the nonzeros rather than the matrix's shape.  No Fraction is built
-until the result is.
+Gauss-Jordan pivot step (``_pivot``, after Bareiss 1968) on integer sparse
+rows, ``{column: nonzero integer}`` maps over a positive denominator, and
+every update divides exactly.  The private core (``_rref``,
+``_strict_positive``) takes such rows and a column count; each public
+function converts its rows once (``_integer_rows``).  A pivot updates only
+the rows that hold its column, and each of those only over its own and the
+pivot row's columns, so the arithmetic follows the nonzeros; finding those
+rows, and ``_rref``'s pivot row, still visits every row.  No Fraction is
+built until the result is.
 
 Scaling rows by positive factors changes neither the reduced row echelon
 form, which is unique, nor any choice of the simplex, whose entering and
@@ -119,15 +122,13 @@ def _pivot(T: list[SparseRow], den: list[int], r: int, c: int, d: int) -> int:
     return p
 
 
-def _rref(rows) -> tuple[list[SparseRow], list[int], list[int], int]:
-    """The sparse reduced row echelon form of rows: (rows, denominators,
-    pivot columns, column count).
+def _rref(T: list[SparseRow], ncols: int) -> tuple[list[SparseRow], list[int], list[int], int]:
+    """The sparse reduced row echelon form of the integer rows T over ncols
+    columns, pivoted in place: (rows, denominators, pivot columns, ncols).
 
     Pivot row i holds ``den[i]`` in column ``pivots[i]``; the rows below the
     last pivot row are empty.
     """
-    # scaling a row leaves its reduced form alone, so start from integer rows
-    T, ncols = _integer_rows(rows)
     den = [1] * len(T)
     d = 1
     pivots: list[int] = []
@@ -148,7 +149,7 @@ def _rref(rows) -> tuple[list[SparseRow], list[int], list[int], int]:
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
-    T, den, pivots, ncols = _rref(rows)
+    T, den, pivots, ncols = _rref(*_integer_rows(rows))
     out = []
     for row, q in zip(T, den):
         dense = [_ZERO] * ncols
@@ -159,7 +160,7 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
 
 
 def rank(A) -> int:
-    return len(_rref(A)[2])
+    return len(_rref(*_integer_rows(A))[2])
 
 
 def solve_linear(A, b) -> Optional[tuple[Fraction, ...]]:
@@ -175,7 +176,7 @@ def solve_linear(A, b) -> Optional[tuple[Fraction, ...]]:
     if not M:
         return ()
     n = len(M[0])
-    T, den, pivots, _ = _rref([(*row, rhs) for row, rhs in zip(M, bvec)])
+    T, den, pivots, _ = _rref(*_integer_rows([(*row, rhs) for row, rhs in zip(M, bvec)]))
     if n in pivots:
         return None
     x = [_ZERO] * n
@@ -186,7 +187,7 @@ def solve_linear(A, b) -> Optional[tuple[Fraction, ...]]:
 
 def rational_nullspace(A) -> tuple[tuple[Fraction, ...], ...]:
     """Basis of {v : A v = 0}; size equals cols - rank(A)."""
-    T, den, pivots, n = _rref(A)
+    T, den, pivots, n = _rref(*_integer_rows(A))
     if not T:
         return ()
     # one vector per free column f: 1 at f and -R[i][f] at pivot column c_i
@@ -263,7 +264,7 @@ def _one_signed(row: SparseRow) -> bool:
 Substitution = tuple[int, int, int, int]
 
 
-def _presolve(rows: list[SparseRow]) -> Optional[tuple[dict[int, SparseRow], list[Substitution]]]:
+def _presolve(rows: Sequence[SparseRow]) -> Optional[tuple[dict[int, SparseRow], list[Substitution]]]:
     """Substitute out the rows of A v = 0, v > 0 that have at most two terms.
 
     An empty row is dropped, and a row whose entries all have one sign has
@@ -346,7 +347,11 @@ def strict_positive_solution(A) -> Optional[tuple[Fraction, ...]]:
     certified answer, not an error.  A matrix with no columns has the empty
     solution ``()``.
     """
-    A_int, n = _integer_rows(A)
+    return _strict_positive(*_integer_rows(A))
+
+
+def _strict_positive(A_int: Sequence[SparseRow], n: int) -> Optional[tuple[Fraction, ...]]:
+    """``strict_positive_solution`` on integer rows over n columns, left unchanged."""
     if not n:
         return ()
     presolved = _presolve(A_int)

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .lattice import _int_rows, _xgcd, smith_normal_form
-from .linalg import _rref
+from .linalg import _integer_rows, _rref
 from .values import ExactNonzeroComplex
 
 
@@ -161,7 +161,7 @@ def _solve_once(rows: list[list[int]], values: Sequence[ExactNonzeroComplex]):
     if primes:
         mag_maps = [dict(v.mag) for v in values]
         T, den, pivots, _ = _rref(
-            [(*row, *[mag.get(p, 0) for p in primes]) for row, mag in zip(rows, mag_maps)]
+            *_integer_rows([(*row, *[mag.get(p, 0) for p in primes]) for row, mag in zip(rows, mag_maps)])
         )
         if pivots and pivots[-1] >= n:
             return None

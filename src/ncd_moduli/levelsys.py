@@ -17,7 +17,8 @@ the type to arise as a limit; the dimension of the beta-projection of the
 solution space is the number of independent rescaling parameters, i.e. the
 stratum's complex codimension.  That dimension is len(betas) minus the
 number of independent relations among the betas, which one elimination of
-the level matrix gives.
+the level matrix gives.  The matrix is built once, as sparse rows; ``rows()``
+is its dense view for outside callers.
 """
 
 from __future__ import annotations
@@ -35,9 +36,8 @@ from .exactnum import (
     coeff_from_json,
     coeff_to_json,
     solve_power_system,
-    strict_positive_solution,
 )
-from .exactnum.linalg import _rref
+from .exactnum.linalg import SparseRow, _rref, _strict_positive
 from .jsonfields import _json_int, _json_int_key, _json_list, _json_object, _json_str
 from .maptype import BetaKey, LevelEquation, MapType
 
@@ -53,24 +53,28 @@ class LevelSystem:
     equations: tuple[LevelEquation, ...]
 
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        """Integer coefficient rows over the unknowns alphas + betas."""
-        return self._rows
+        """Integer coefficient rows over the unknowns alphas + betas, dense."""
+        return self._dense_rows
 
     @cached_property
-    def _rows(self) -> tuple[tuple[int, ...], ...]:
+    def _dense_rows(self) -> tuple[tuple[int, ...], ...]:
+        width = len(self.alphas) + len(self.betas)
+        return tuple(tuple(row.get(k, 0) for k in range(width)) for row in self._rows)
+
+    @cached_property
+    def _rows(self) -> tuple[SparseRow, ...]:
         # node ids are strings and beta keys are not, so one map indexes both
         column = {u: i for i, u in enumerate(self.alphas + self.betas)}
-        width = len(self.alphas) + len(self.betas)
         out = []
         for eq in self.equations:
-            row = [0] * width
+            row: SparseRow = {}
             for nid in eq.nodes:
-                row[column[nid]] += eq.multiplicity
-            row[column[eq.beta]] -= 1
-            below = eq.below
-            if below is not None:
-                row[column[below]] += 1
-            out.append(tuple(row))
+                row[column[nid]] = row.get(column[nid], 0) + eq.multiplicity
+            row[column[eq.beta]] = -1
+            if eq.below is not None:
+                row[column[eq.below]] = 1
+            # the exact core assumes a row holds no zeros; multiplicity 0 makes one
+            out.append({k: x for k, x in row.items() if x})
         return tuple(out)
 
     @cached_property
@@ -83,7 +87,8 @@ class LevelSystem:
         nonzero beta entry as its pivot, positive, and 0 at the other pivots.
         """
         na, nb = len(self.alphas), len(self.betas)
-        T, _, pivots, _ = _rref([row[:na] + row[na:][::-1] for row in self.rows()])
+        flip = 2 * na + nb - 1
+        T, _, pivots, _ = _rref([{k if k < na else flip - k: x for k, x in row.items()} for row in self._rows], na + nb)
         relations = []
         for row, c in zip(T, pivots):
             if c >= na:
@@ -124,13 +129,9 @@ def _assemble(mt: MapType) -> LevelSystem:
 
 def feasible_positive(sys: LevelSystem) -> Optional[dict]:
     """A strictly positive rational solution, as {unknown: value}, or None."""
-    names = list(sys.alphas) + list(sys.betas)
-    if not sys.equations:
-        return dict.fromkeys(names, Fraction(1))
-    witness = strict_positive_solution(sys.rows())
-    if witness is None:
-        return None
-    return dict(zip(names, witness))
+    names = sys.alphas + sys.betas
+    witness = _strict_positive(sys._rows, len(names))
+    return None if witness is None else dict(zip(names, witness))
 
 
 def torus_dim(sys: LevelSystem) -> int:
@@ -184,13 +185,9 @@ def asymptotic_classes(mt: MapType) -> tuple[AsymptoticClass, ...]:
         if ra != rb:
             parent[ra] = rb
 
-    for eq in sys.equations:
-        anchor = ("node", eq.nodes[0])
-        for nid in eq.nodes[1:]:
-            union(anchor, ("node", nid))
-        union(anchor, ("level", eq.beta))
-        if eq.below is not None:
-            union(anchor, ("level", eq.below))
+    for first, *others in sys._rows:
+        for k in others:
+            union(tokens[first], tokens[k])
     for walk in mt.walks:
         if not walk.steps:
             continue

@@ -75,7 +75,11 @@ class ContactRecord:
     slots: tuple[tuple[str, ContactSlot], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "slots", tuple(sorted(self.slots)))
+        slots = tuple(sorted(self.slots, key=lambda slot: slot[0]))
+        for (d, _), (e, _) in zip(slots, slots[1:]):
+            if d == e:
+                raise ValueError(f"direction {d} is listed twice")
+        object.__setattr__(self, "slots", slots)
 
     @property
     def directions(self) -> tuple[str, ...]:
@@ -791,12 +795,10 @@ def _point_from_dict(obj, cid: str) -> tuple[str, ContactRecord]:
     if stratum is not None:
         stratum = _json_str(stratum, f"{pid} stratum")
     slots = tuple(_slot_from_dict(s, pid) for s in slots)
-    seen: set[str] = set()
-    for d, _ in slots:
-        if d in seen:
-            raise ValueError(f"{pid}: direction {d} is listed twice")
-        seen.add(d)
-    return pid, ContactRecord(stratum, slots)
+    try:
+        return pid, ContactRecord(stratum, slots)
+    except ValueError as e:
+        raise ValueError(f"{pid}: {e}") from None
 
 
 def _node_from_dict(obj) -> Node:

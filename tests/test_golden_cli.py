@@ -11,7 +11,9 @@ messages must come out in one order whatever ``PYTHONHASHSEED`` is; then
 prints every torsion branch in order; then ``levels`` on
 ``data/neck2-two-level.json``, human and ``--json``, a multibuilding whose
 equation at level 2 subtracts the level-1 rate of its own scaling
-component.  An argument ``@name`` stands for a file holding the built-in
+component; then ``validate``, ``levels`` and ``dim`` on
+``data/no-nodes.json``, human and ``--json``, a map type with no nodes,
+whose level system has no equations and the witness all ones.  An argument ``@name`` stands for a file holding the built-in
 fixture ``name``, or ``data/name.json`` when no fixture has that name.
 The table was recorded once, from a build whose outputs had been checked,
 and nothing here rewrites it: a changed output is a failure to explain,

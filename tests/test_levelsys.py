@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ncd_moduli import levelsys, maptype
 from ncd_moduli.dimension import stratum_codim
-from ncd_moduli.exactnum import ExactNonzeroComplex
+from ncd_moduli.exactnum import ExactNonzeroComplex, linalg, strict_positive_solution
 from ncd_moduli.fixtures import neck1a, neck1b, neck2, neck3, smooth_level_one
 from ncd_moduli.levelsys import (
     GluingDirection,
@@ -104,6 +104,12 @@ class TestFeasibility:
     def test_no_equations_all_ones(self):
         sys = LevelSystem(("a1",), (1, 2), ())
         assert feasible_positive(sys) == {"a1": 1, 1: 1, 2: 1}
+
+    def test_multiplicity_zero(self):
+        # the node's entry is 0, which the sparse rows leave out: -b(1) = 0
+        sys = LevelSystem(("a",), (1,), (LevelEquation("x", "d1", 1, ("a",), 0),))
+        assert sys.rows() == ((0, -1),)
+        assert (feasible_positive(sys), torus_dim(sys), beta_relations(sys)) == (None, 0, ((1,),))
 
 
 def disjoint_copies(mt: MapType, n: int) -> MapType:
@@ -254,6 +260,22 @@ class TestAnalysedOnce:
         assert (len(structure), len(naive), len(assembled)) == (1, 1, 1)
         assert len(rrefs) == 1
         assert sys.rows() is sys.rows()
+
+    @pytest.mark.parametrize("build", [neck2, lambda: disjoint_copies(neck2(), 8)], ids=["neck2", "neck2x8"])
+    def test_level_path_reads_sparse_rows(self, monkeypatch, build):
+        # validate, levels, dim and the rate classes read the one sparse form
+        # of the level matrix: no dense rows, no conversion, one elimination
+        dense = _counting(monkeypatch, LevelSystem, "rows")
+        converted = _counting(monkeypatch, linalg, "_integer_rows")
+        rrefs = _counting(monkeypatch, levelsys, "_rref")
+        mt = build()
+        assert mt.validation.valid
+        sys = build_system(mt)
+        assert feasible_positive(sys) is not None
+        assert torus_dim(sys) == 1 and len(beta_relations(sys)) == 1
+        assert stratum_codim(mt) == 2
+        assert len(asymptotic_classes(mt)) == 1
+        assert (dense, converted, len(rrefs)) == ([], [], 1)
 
     @pytest.mark.parametrize("order", [("validate", "levels", "dim"), ("levels", "dim", "validate")])
     def test_commands_share_one_validation(self, monkeypatch, order):
@@ -407,8 +429,9 @@ def level_systems(draw) -> LevelSystem:
     """Small level systems over uniform or multi betas, with 0-6 equations.
 
     An equation may have no nodes, which makes a row of one sign (-b(1)
-    alone at level 1); an alpha may lie in no equation.  Half the systems
-    with equations get an infeasible twin equation.
+    alone at level 1); an alpha may lie in no equation or twice in one.
+    Multiplicities run from -1 to 3, so a node's entry may be 0.  Half the
+    systems with equations get an infeasible twin equation.
     """
     alphas = tuple(f"a{i}" for i in range(draw(st.integers(0, 4))))
     if draw(st.booleans()):
@@ -429,7 +452,7 @@ def level_systems(draw) -> LevelSystem:
                 st.just(d),
                 st.sampled_from(keys[d]),
                 st.lists(st.sampled_from(alphas), max_size=3).map(tuple) if alphas else st.just(()),
-                st.integers(1, 3),
+                st.integers(-1, 3),
             )
         )
         equations = tuple(draw(st.lists(equation, max_size=6)))
@@ -454,6 +477,10 @@ class TestBetaRelationsOracle:
     @given(level_systems())
     def test_random_systems(self, sys):
         assert (torus_dim(sys), beta_relations(sys)) == reference_beta_relations(sys)
+        # the witness is the one the public LP gives on the dense rows
+        names = sys.alphas + sys.betas
+        witness = strict_positive_solution(sys.rows()) if sys.equations else (Fraction(1),) * len(names)
+        assert feasible_positive(sys) == (None if witness is None else dict(zip(names, witness)))
 
 
 class TestScalingInvariance:
@@ -574,7 +601,8 @@ class TestEquationsFromWalks:
     def test_equations_are_the_walk_steps(self, build):
         mt = build()
         steps = tuple(eq for w in mt.walks for eq in w.steps)
-        assert steps
+        # no-nodes.json, marked points on one level-0 component, is the one without steps
+        assert bool(steps) == bool(mt.nodes)
         v = mt.validation
         problems = v.structure or v.naive or v.broken_cylinders
         if problems:
@@ -598,7 +626,7 @@ class TestEquationsFromWalks:
         assert keys == []
 
     def test_map_type_files_found(self):
-        assert MAPTYPE_FILES == ["neck2-nonreciprocal.json", "neck2-two-level.json"]
+        assert MAPTYPE_FILES == ["neck2-nonreciprocal.json", "neck2-two-level.json", "no-nodes.json"]
 
     def test_direction_without_scaling_component(self):
         mt = dataclasses.replace(neck2(), direction_components=(("d1", "v1"),))

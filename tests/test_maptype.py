@@ -470,6 +470,18 @@ class TestDegree:
         assert validate_structure(bad) == ["marked contact degree 3 != A.V = 4"]
 
 
+class TestContactRecord:
+    @pytest.mark.parametrize("second", [ContactSlot(2, 1), ContactSlot(1, 1)], ids=["other-slot", "equal-slot"])
+    def test_repeated_direction_refused(self, second):
+        with pytest.raises(ValueError, match="^direction d1 is listed twice$"):
+            ContactRecord("c,c", (("d1", ContactSlot(1, 1)), ("d1", second)))
+
+    def test_slots_sorted_by_direction(self):
+        rec = ContactRecord("c,c", (("d2", ContactSlot(1, 1)), ("d1", ContactSlot(2, -1))))
+        assert rec.directions == ("d1", "d2")
+        assert rec.slot("d1") == ContactSlot(2, -1)
+
+
 class TestFormat:
     @pytest.mark.parametrize("build", FIXTURES)
     def test_round_trip(self, build):
