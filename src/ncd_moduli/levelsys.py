@@ -39,7 +39,7 @@ from .exactnum import (
 )
 from .exactnum.linalg import SparseRow, _rref, _strict_positive
 from .jsonfields import _json_int, _json_int_key, _json_list, _json_object, _json_str
-from .maptype import BetaKey, LevelEquation, MapType
+from .maptype import BetaKey, LevelEquation, MapType, check_broken_cylinders
 
 
 class LevelSystemError(ValueError):
@@ -118,8 +118,7 @@ def build_system(mt: MapType) -> LevelSystem:
 
 
 def _assemble(mt: MapType) -> LevelSystem:
-    v = mt.validation
-    problems = v.structure or v.naive or v.broken_cylinders
+    problems = mt._structure or mt._naive or check_broken_cylinders(mt)
     if problems:
         raise LevelSystemError("; ".join(problems))
     equations = tuple(eq for walk in mt.walks for eq in walk.steps)
@@ -195,9 +194,9 @@ def asymptotic_classes(mt: MapType) -> tuple[AsymptoticClass, ...]:
         for eq in walk.steps[1:]:
             union(first, ("node", eq.nodes[0]))
         levels = [eq.level for eq in walk.steps]
-        for eq in walk.steps:
+        for d in {eq.direction for eq in walk.steps}:
             for l in range(min(levels), max(levels) + 1):
-                key = mt.beta_key(eq.direction, l)
+                key = mt.beta_key(d, l)
                 if mt.has_beta(key):
                     union(first, ("level", key))
     groups: dict[tuple, list[tuple]] = {}

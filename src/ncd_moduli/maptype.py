@@ -16,9 +16,10 @@ A ``MapType`` computes each fact about itself once, on first use:
   walk's steps are the level system's equations, one ``LevelEquation`` per
   node step, each keyed by its ``beta_key`` once, in the walk;
 - the reports of ``validate_structure`` and ``check_naive``, each returned
-  as a fresh list;
-- ``validation``, the record that ``validate`` prints and the level system
-  is gated on;
+  as a fresh list; with the walks' broken-cylinder violations they are what
+  the level system is gated on;
+- ``validation``, the record that ``validate`` prints; nothing else in the
+  library checks enhanced matching or relative stability;
 - the building's level unknowns ``beta_keys``, which only the level system
   lists.  The walks, relative stability and ``asymptotic_classes`` name a
   level through ``beta_key``; the walks and ``asymptotic_classes`` test it
@@ -448,8 +449,7 @@ def _naive_violations(mt: MapType) -> list[str]:
         if ra.directions != rb.directions:
             out.append(f"{n.id}: branch sets differ ({ra.directions} vs {rb.directions})")
             continue
-        for d in ra.directions:
-            sa, sb = ra.slot(d), rb.slot(d)
+        for (d, sa), (_, sb) in zip(ra.slots, rb.slots):
             if sa.s is None or sb.s is None:
                 out.append(f"{n.id}: undefined multiplicity at a node ({d})")
                 continue
@@ -628,8 +628,8 @@ def check_enhanced(mt: MapType) -> EnhancedResult:
         rows: list[list[int]] = []
         rhs: list[ExactNonzeroComplex] = []
         dirs: list[str] = []
-        for d in ra.directions:
-            sa, sb = ra.slot(d), rb.slot(d)
+        for d, sa in ra.slots:
+            sb = rb.slot(d)
             if sb is None or sa.eps == 0 or sb.eps == 0:
                 continue
             if sa.coeff is None or sb.coeff is None:

@@ -125,6 +125,12 @@ class TestMulti:
         b = build_multi(ex4dim(), {"v1": 2, "v2": 2})
         assert b.class_count(depth=2) == 4
 
+    def test_local_labels_take_each_slot_bound(self):
+        # slot i runs over 0..the level count of its own scaling direction
+        b = build_multi(ex4dim(), [1, 2])
+        assert [lab.levels for lab in b.local_labels("v1,v2")] == list(itertools.product(range(2), range(3)))
+        assert {lab.stratum for lab in b.local_labels("v1,v2")} == {"v1,v2"}
+
 
 class TestDivisorStrata:
     def test_depth1_level1(self):

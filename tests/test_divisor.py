@@ -1,3 +1,4 @@
+import dataclasses
 from math import comb
 
 import pytest
@@ -13,6 +14,7 @@ from ncd_moduli.divisor import (
     locally_isomorphic,
     self_crossing_curve,
     simple_crossings,
+    slot_orbits,
     stratum_counts,
     validate,
 )
@@ -137,6 +139,18 @@ class TestSelfCrossing:
         (b,) = ex4dim().strata_at(2)
         assert locally_isomorphic(a, b)
         assert not locally_isomorphic(a, ex4dim().strata_at(1)[0])
+
+    def test_swapping_monodromy(self):
+        # a monodromy that swaps the two branches at the crossing joins its slots
+        d = self_crossing_curve()
+        plain = d.stratum("c,c")
+        swapped = dataclasses.replace(plain, monodromy=((1, 0),))
+        e = dataclasses.replace(d, strata=tuple(swapped if s.id == "c,c" else s for s in d.strata))
+        assert validate(e) == []
+        assert slot_orbits(swapped) == ((0, 1),) and slot_orbits(plain) == ((0,), (1,))
+        assert (stratum_counts(e, 2).double_resolution, stratum_counts(d, 2).double_resolution) == (1, 2)
+        assert (stratum_counts(e, 1).resolution_of_wk1, stratum_counts(d, 1).resolution_of_wk1) == (1, 2)
+        assert not locally_isomorphic(swapped, plain)
 
 
 class TestFormat:

@@ -13,11 +13,15 @@ prints every torsion branch in order; then ``levels`` on
 equation at level 2 subtracts the level-1 rate of its own scaling
 component; then ``validate``, ``levels`` and ``dim`` on
 ``data/no-nodes.json``, human and ``--json``, a map type with no nodes,
-whose level system has no equations and the witness all ones.  An argument ``@name`` stands for a file holding the built-in
-fixture ``name``, or ``data/name.json`` when no fixture has that name.
-The table was recorded once, from a build whose outputs had been checked,
-and nothing here rewrites it: a changed output is a failure to explain,
-not to re-record.
+whose level system has no equations and the witness all ones; then the
+same three on ``data/enhanced-only.json``, human and ``--json``, ``neck2``
+with one leading coefficient changed so that only enhanced matching fails:
+``validate`` exits 1 while ``levels`` and ``dim`` exit 0.  An argument
+``@name`` stands for a file holding the built-in fixture ``name``, or
+``data/name.json`` when no fixture has that name.  The table was
+recorded once, from a build whose outputs had been checked, and nothing
+here rewrites it: a changed output is a failure to explain, not to
+re-record.
 """
 
 import hashlib

@@ -277,7 +277,9 @@ class TestAnalysedOnce:
         assert len(asymptotic_classes(mt)) == 1
         assert (dense, converted, len(rrefs)) == ([], [], 1)
 
-    @pytest.mark.parametrize("order", [("validate", "levels", "dim"), ("levels", "dim", "validate")])
+    @pytest.mark.parametrize(
+        "order", [("validate", "levels", "dim"), ("levels", "dim", "validate"), ("levels", "dim")]
+    )
     def test_commands_share_one_validation(self, monkeypatch, order):
         bodies = [
             _counting(monkeypatch, maptype, name)
@@ -293,9 +295,42 @@ class TestAnalysedOnce:
         }
         for name in order:
             assert commands[name]()
-        assert [len(calls) for calls in bodies] == [1, 1, 1, 1]
+        # the level path gates on the first three stages alone, so only
+        # validate checks enhanced matching and relative stability
+        assert [len(calls) for calls in bodies] == ([1, 1, 1, 1] if "validate" in order else [1, 1, 0, 0])
         assert len(walks) == len(mt.fibers)
         assert mt.validation is mt.validation
+
+    def test_level_path_solves_no_power_system(self, monkeypatch):
+        solved = _counting(monkeypatch, maptype, "solve_power_system")
+        mt = neck2()
+        sys = build_system(mt)
+        assert feasible_positive(sys) is not None
+        assert torus_dim(sys) == 1 and len(beta_relations(sys)) == 1
+        assert stratum_codim(mt) == 2
+        assert len(asymptotic_classes(mt)) == 1
+        assert solved == []
+
+    def test_classes_key_each_level_once_per_direction(self, monkeypatch):
+        mt = neck1b()
+        build_system(mt)
+        keyed = _counting(monkeypatch, MapType, "beta_key")
+        classes = asymptotic_classes(mt)
+        # one key per walk, direction and level of the walk's span
+        expected = 0
+        for w in mt.walks:
+            levels = [eq.level for eq in w.steps]
+            if levels:
+                expected += len({eq.direction for eq in w.steps}) * (max(levels) - min(levels) + 1)
+        assert len(keyed) == expected == 9
+        assert classes == asymptotic_classes(dataclasses.replace(mt))
+
+    def test_enhanced_looks_up_only_the_far_end(self, monkeypatch):
+        mt = neck2()
+        looked_up = _counting(monkeypatch, maptype.ContactRecord, "slot")
+        assert check_enhanced(mt).satisfiable
+        # one lookup per direction of each node's near end
+        assert len(looked_up) == sum(mt.record(n.ends[0]).depth for n in mt.nodes) == 6
 
 
 def _analysis(mt: MapType) -> tuple:
@@ -626,7 +661,12 @@ class TestEquationsFromWalks:
         assert keys == []
 
     def test_map_type_files_found(self):
-        assert MAPTYPE_FILES == ["neck2-nonreciprocal.json", "neck2-two-level.json", "no-nodes.json"]
+        assert MAPTYPE_FILES == [
+            "enhanced-only.json",
+            "neck2-nonreciprocal.json",
+            "neck2-two-level.json",
+            "no-nodes.json",
+        ]
 
     def test_direction_without_scaling_component(self):
         mt = dataclasses.replace(neck2(), direction_components=(("d1", "v1"),))

@@ -370,6 +370,43 @@ class TestEnhanced:
         assert dict(res.branch_counts)["z"] == 1
         assert dict(res.witness)["z"] == _c(Fraction(1, 2))
 
+    @staticmethod
+    def _node(near, far):
+        """One node z joining main@z, with slots ``near``, to cap@z, with ``far``."""
+        main = Component("main", points=(("main@z", ContactRecord("p", near)),))
+        cap = Component("cap", levels=(("d1", 1), ("d2", 1)), points=(("cap@z", ContactRecord("p", far)),))
+        return MapType("uniform", 1, (), (), (main, cap), (Node("z", ("main@z", "cap@z")),))
+
+    @pytest.mark.parametrize("end", ["near", "far"])
+    def test_unsigned_direction_left_out(self, end):
+        # d2's products would conflict with d1's (test_depth2_conflict); sign 0 drops it
+        near = (("d1", ContactSlot(1, 1, 0, _c(2))), ("d2", ContactSlot(1, 0 if end == "near" else 1, 0, _c(3))))
+        far = (("d1", ContactSlot(1, -1, 1, _c(1))), ("d2", ContactSlot(1, 0 if end == "far" else -1, 1, _c(1))))
+        res = check_enhanced(self._node(near, far))
+        assert res.satisfiable
+        assert res.branch_counts == (("z", 1),)
+        assert res.witness == (("z", _c(Fraction(1, 2))),)
+
+    def test_direction_missing_at_far_end_left_out(self):
+        near = (("d1", ContactSlot(1, 1, 0, _c(2))), ("d2", ContactSlot(1, 1, 0, _c(3))))
+        far = (("d1", ContactSlot(1, -1, 1, _c(1))),)
+        res = check_enhanced(self._node(near, far))
+        assert res.satisfiable
+        assert res.witness == (("z", _c(Fraction(1, 2))),)
+
+    def test_node_without_decorated_direction(self):
+        near = (("d1", ContactSlot(1, 0, 0, _c(2))),)
+        far = (("d1", ContactSlot(1, -1, 1, _c(1))), ("d2", ContactSlot(1, -1, 1, _c(1))))
+        res = check_enhanced(self._node(near, far))
+        assert res == check_enhanced(self._node((), far))
+        assert (res.satisfiable, res.witness, res.branch_counts) == (True, (), ())
+
+    def test_undefined_multiplicity_at_near_end(self):
+        near = (("d1", ContactSlot(1, 1, 0, _c(2))), ("d2", ContactSlot(None, 1, 0, _c(3))))
+        far = (("d1", ContactSlot(1, -1, 1, _c(1))), ("d2", ContactSlot(1, -1, 1, _c(1))))
+        with pytest.raises(ValueError, match="^z: undefined multiplicity in d2$"):
+            check_enhanced(self._node(near, far))
+
 
 class TestStability:
     def test_neck3_stable(self):
