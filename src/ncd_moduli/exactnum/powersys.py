@@ -1,21 +1,24 @@
 """Multiplicative power systems  prod_j mu_j^{M[k][j]} = p_k.
 
-The magnitude part is a rational linear system on prime-exponent vectors
-(one right-hand side per prime in the support, all reduced in one
-elimination of M).  The argument part is a congruence system over Q/Z
-solved through the Smith normal form of M: the number of torsion branches
-is the product of the nonzero elementary divisors, and the continuous part
-is the kernel torus of M.
+Every value is read as its integer log tuple (D, primes, exps, argnum) (see
+``values``), so the solvers build no ``Fraction``.  With L the lcm of the
+right-hand sides' denominators D_k, the magnitude part is the rational linear
+system M x = exps_k / D_k on prime-exponent vectors: one integer elimination
+of the rows [D_k M_k | exps_k], with a right-hand side column per prime in
+the support.  The argument part is the congruence system M theta = a_k / L
+over Q/Z with a_k = argnum_k * L / D_k, solved through the Smith normal form
+of M: the number of torsion branches is the product of the nonzero
+elementary divisors, and the continuous part is the kernel torus of M.
 
 A system with one unknown, mu^{s_k} = p_k (enhanced matching, gluing and
 the weighted-projective test all solve these), builds no Smith form.  One
 pass over the rows keeps the solutions of the rows so far: the prime
 exponents of mu, read off the first row with s_k != 0 and checked on every
-later row, and g theta = y / L (mod 1) for its argument theta, which each row
-joins through an extended gcd.  The first row that breaks either is the
-violated equation, so no prefix is solved again; only a system with two or
-more unknowns does that.  The branches and their order are the ones the
-Smith path gives.
+later row by integer cross-multiplication, and g theta = y / L (mod 1) for
+its argument theta, which each row joins through an extended gcd.  The first
+row that breaks either is the violated equation, so no prefix is solved
+again; only a system with two or more unknowns does that.  The branches and
+their order are the ones the Smith path gives.
 """
 
 from __future__ import annotations
@@ -25,12 +28,18 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .lattice import _int_rows, _xgcd, smith_normal_form
-from .linalg import _integer_rows, _rref
-from .values import ExactNonzeroComplex
+from .linalg import _rref
+from .values import ExactNonzeroComplex, _from_log
+
+
+def _unknown(D: int, primes, exps, offset: int, steps) -> tuple:
+    """The integer log data of one unknown: exponents ``exps`` at ``primes``
+    over D, the gcd of D and them, and the argument numerator's offset and
+    per-digit steps modulo D."""
+    return (D, tuple(primes), tuple(exps), math.gcd(D, *exps), offset % D, tuple([x % D for x in steps]))
 
 
 class TorsionBranches(Sequence):
@@ -38,18 +47,18 @@ class TorsionBranches(Sequence):
 
     Branch number b has the mixed-radix digits j_0 .. j_{r-1} of b over the
     nonzero elementary divisors d_0 .. d_{r-1}, the last digit running
-    fastest (the order of ``itertools.product``).  Unknown i of that branch
-    has the magnitude ``mags[i]``, which no branch changes, and the argument
-    ``((offsets[i] + sum_k j_k * steps[i][k]) mod den) / den`` turns.
-    The common denominator is den = L * lcm(d_0 .. d_{r-1}), with L the lcm
-    of the denominators of the right-hand sides' arguments, so the solve
-    works in integers and a ``Fraction`` is built only when a branch is read.
+    fastest (the order of ``itertools.product``).  Unknown i is held as
+    integer log data over its own denominator D_i: its prime exponents,
+    which no branch changes, and the argument numerator
+    ``(offsets_i + sum_k j_k * steps_i[k]) mod D_i``.  So the solve works in
+    integers, and a branch is built with one gcd reduction per unknown when
+    it is read.
     """
 
     __slots__ = ("_data", "_len")
 
-    def __init__(self, mags, divisors, offsets, steps, den):
-        self._data = (mags, divisors, offsets, steps, den)
+    def __init__(self, unknowns, divisors):
+        self._data = (tuple(unknowns), tuple(divisors))
         self._len = math.prod(divisors)
 
     def __len__(self) -> int:
@@ -71,13 +80,17 @@ class TorsionBranches(Sequence):
         return map(self._branch, itertools.product(*map(range, self._data[1])))
 
     def _branch(self, digits) -> tuple[ExactNonzeroComplex, ...]:
-        mags, _, offsets, steps, den = self._data
-        return tuple([
-            ExactNonzeroComplex._normalised(
-                mag, Fraction((c + sum(map(operator.mul, digits, row))) % den, den)
-            )
-            for mag, c, row in zip(mags, offsets, steps)
-        ])
+        # inline rather than values._reduced: with gcd(D, *exps) kept per
+        # unknown, one gcd with the argument numerator is left per branch
+        out = []
+        for D, primes, exps, g, offset, steps in self._data[0]:
+            a = (offset + sum(map(operator.mul, digits, steps))) % D
+            h = math.gcd(g, a)
+            if h == 1:
+                out.append(_from_log((D, primes, exps, a)))
+            else:
+                out.append(_from_log((D // h, primes, tuple([e // h for e in exps]), a // h)))
+        return tuple(out)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, TorsionBranches):
@@ -112,26 +125,38 @@ class PowerSystemSolution:
 
 
 def _solve_column(s: list[int], values: Sequence[ExactNonzeroComplex]) -> PowerSystemSolution:
-    """Solve mu^{s_k} = values[k] in one pass over the rows.
+    """Solve mu^{s_k} = values[k] in one pass over the rows, in integers.
 
-    After row k the pass holds the solutions of rows 0..k: the magnitude
-    ``mag`` of mu, set by the first row with s_k != 0, and a pair (g, y)
-    with g theta = y / L (mod 1) for the argument theta, L the lcm of the
-    arguments' denominators.  Row k, s_k theta = a_k / L, joins through
+    Each value is read as its log tuple (D_k, primes_k, exps_k, argnum_k),
+    and L is the one lcm of the D_k.  After row k the pass holds the
+    solutions of rows 0..k.  The magnitude of mu is exps_f / (D_f s_f), set
+    by the first row f with s_f != 0; a later row k holds it iff it has the
+    same primes and s_k D_k exps_f = s_f D_f exps_k, and a row with s_k = 0
+    iff it has no primes.  The argument theta satisfies g theta = y / L (mod 1).
+    Row k, s_k theta = a_k / L with a_k = argnum_k L / D_k, joins through
     h = gcd(g, s_k) = u g + w s_k: the two hold together iff h theta = z / L
     with z = u y + w a_k, (g/h) z = y and (s_k/h) z = a_k (mod L).  So the
     first row that fails either check is the violated equation.  For g > 0
     the solution set fixes y mod L, so the branches theta_j = (y/L + j) / g,
-    their order included, are the ones the Smith path gives.
+    their order included, are the ones the Smith path gives.  Over the
+    branches' denominator L g the magnitude's numerators are integers: g is
+    an integer combination of the s_k, so g times the magnitude is one of
+    the exps_k / D_k.
     """
-    L = math.lcm(*[v.arg.denominator for v in values])
-    mag, g, y = None, 0, 0
-    for k, (sk, v) in enumerate(zip(s, values)):
-        if sk and mag is None:
-            mag = tuple([(p, e / sk) for p, e in v.mag])
-        elif v.mag != (tuple([(p, e * sk) for p, e in mag]) if sk else ()):
+    logs = [v._log for v in values]
+    L = math.lcm(*[log[0] for log in logs])
+    first, g, y = None, 0, 0
+    for k, (sk, (d, primes, exps, a)) in enumerate(zip(s, logs)):
+        if sk and first is None:
+            first = (sk * d, primes, exps)
+        elif sk:
+            q0, primes0, exps0 = first
+            c = sk * d
+            if primes != primes0 or [c * e for e in exps0] != [q0 * e for e in exps]:
+                return PowerSystemSolution(False, k, 0, 0, ())
+        elif primes:
             return PowerSystemSolution(False, k, 0, 0, ())
-        a = v.arg.numerator * (L // v.arg.denominator)
+        a *= L // d
         h, u, w = _xgcd(g, sk)
         z = (u * y + w * a) % L
         q = h or 1  # h = 0 only when g = s_k = 0, and then y = z = 0
@@ -139,9 +164,11 @@ def _solve_column(s: list[int], values: Sequence[ExactNonzeroComplex]) -> PowerS
             return PowerSystemSolution(False, k, 0, 0, ())
         g, y = h, z
     if not g:
-        return PowerSystemSolution(True, None, 1, 1, TorsionBranches((mag or (),), (), (0,), ((),), L))
+        return PowerSystemSolution(True, None, 1, 1, TorsionBranches((_unknown(1, (), (), 0, ()),), ()))
     den = L * g
-    return PowerSystemSolution(True, None, g, 0, TorsionBranches((mag,), (g,), (y,), ((L % den,),), den))
+    q0, primes0, exps0 = first
+    unknown = _unknown(den, primes0, [e * den // q0 for e in exps0], y, (L,))
+    return PowerSystemSolution(True, None, g, 0, TorsionBranches((unknown,), (g,)))
 
 
 def _solve_once(rows: list[list[int]], values: Sequence[ExactNonzeroComplex]):
@@ -149,30 +176,36 @@ def _solve_once(rows: list[list[int]], values: Sequence[ExactNonzeroComplex]):
 
     The branches are not built here: the argument of every branch is an
     integer numerator over one common denominator ``den``, so the solution
-    keeps only the per-unknown offsets, the per-digit steps and the
-    magnitudes, and ``TorsionBranches`` builds a branch when it is read.
+    keeps each unknown's magnitude, offset and per-digit steps as integer
+    log data, and ``TorsionBranches`` builds a branch when it is read.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    # magnitude: one rational elimination of M with a right-hand side per prime
-    # in the combined support; a pivot in a right-hand side is an inconsistency
-    primes = sorted({p for v in values for p, _ in v.mag})
-    mag_parts: dict[int, list[Fraction]] = {p: [Fraction(0)] * n for p in primes}
+    logs = [v._log for v in values]
+    # magnitude: unknown j has the exponents mag_num[j] / mag_den[j]; one
+    # integer elimination of the rows [D_k M_k | exps_k], with a right-hand
+    # side column per prime in the combined support; a pivot in a right-hand
+    # side is an inconsistency
+    primes = sorted({p for log in logs for p in log[1]})
+    mag_den, mag_num = [1] * n, [[0] * len(primes) for _ in range(n)]
     if primes:
-        mag_maps = [dict(v.mag) for v in values]
-        T, den, pivots, _ = _rref(
-            *_integer_rows([(*row, *[mag.get(p, 0) for p in primes]) for row, mag in zip(rows, mag_maps)])
-        )
+        column = {p: j for j, p in enumerate(primes, n)}
+        T = []
+        for row, (d, ps, exps, _) in zip(rows, logs):
+            t = {j: d * x for j, x in enumerate(row) if x}
+            t.update(zip(map(column.__getitem__, ps), exps))
+            T.append(t)
+        T, den, pivots, _ = _rref(T, n + len(primes))
         if pivots and pivots[-1] >= n:
             return None
         for row, q, c in zip(T, den, pivots):
-            for j, p in enumerate(primes, n):
-                mag_parts[p][c] = Fraction(row.get(j, 0), q)
-    # argument, in integers: with L the lcm of the argument denominators,
-    # arg_j = A_j / L, and D psi = U arg over Q/Z with U M V = D reads
-    # d_k psi_k = t_k / L with t_k = sum_j U_kj A_j mod L
-    L = math.lcm(*[v.arg.denominator for v in values])
-    A = [v.arg.numerator * (L // v.arg.denominator) for v in values]
+            mag_den[c] = q
+            mag_num[c] = [row.get(j, 0) for j in range(n, n + len(primes))]
+    # argument, in integers: with L the lcm of the denominators, arg_k = A_k / L,
+    # and D psi = U arg over Q/Z with U M V = D reads d_k psi_k = t_k / L with
+    # t_k = sum_j U_kj A_j mod L
+    L = math.lcm(*[log[0] for log in logs])
+    A = [a * (L // d) for d, _, _, a in logs]
     U, D, V = smith_normal_form(rows)
     t = [sum(map(operator.mul, u, A)) % L for u in U]
     divisors = [D[i][i] for i in range(min(m, n))]
@@ -182,15 +215,23 @@ def _solve_once(rows: list[list[int]], values: Sequence[ExactNonzeroComplex]):
     divisors = [d for d in divisors if d != 0]
     # psi_k = (t_k + j_k L) / (L d_k) = (base_k + j_k * den / d_k) / den with
     # den = L * lcm(d), and theta_i = sum_k V_ik psi_k mod 1; psi_k = 0 for k >= r.
+    # Unknown i is held over lcm(den, mag_den[i]).
     r = len(divisors)
     den = L * math.lcm(*divisors)
     base = [t[k] * (den // (L * divisors[k])) for k in range(r)]
-    offsets = tuple(sum(V[i][k] * base[k] for k in range(r)) % den for i in range(n))
-    steps = tuple(tuple(V[i][k] * (den // divisors[k]) % den for k in range(r)) for i in range(n))
-    mags = tuple(
-        tuple((p, mag_parts[p][j]) for p in primes if mag_parts[p][j] != 0) for j in range(n)
-    )
-    branches = TorsionBranches(mags, tuple(divisors), offsets, steps, den)
+    unknowns = []
+    for i in range(n):
+        Di = math.lcm(den, mag_den[i])
+        f, fm = Di // den, Di // mag_den[i]
+        nonzero = [(p, x * fm) for p, x in zip(primes, mag_num[i]) if x]
+        unknowns.append(_unknown(
+            Di,
+            [p for p, _ in nonzero],
+            [x for _, x in nonzero],
+            sum(V[i][k] * base[k] for k in range(r)) * f,
+            [V[i][k] * (den // divisors[k]) * f for k in range(r)],
+        ))
+    branches = TorsionBranches(unknowns, divisors)
     # M's kernel is spanned by V's columns r .. n-1, so its rank is n - r
     return PowerSystemSolution(True, None, len(branches), n - r, branches)
 

@@ -1,35 +1,50 @@
 """Exact nonzero complex values.
 
-A value is stored multiplicatively: a finitely supported map ``prime ->
-rational exponent`` giving the magnitude, together with a rational number of
-turns in [0, 1) giving the argument.  The represented number is
+A value is the number
 
-    (prod_p p^{e_p}) * exp(2*pi*i*arg)
+    (prod_p p^{e_p}) * exp(2*pi*i*theta)
 
-which is never 0 or infinity.  The group is divisible, so rational powers and
-n-th roots stay inside it, and equality is exact structural equality.
+over finitely many primes p, with rational exponents e_p and a rational
+argument theta in turns; it is never 0 or infinity.  The group is divisible,
+so rational powers and n-th roots stay inside it.
 
-Every value is kept in one normal form: ``mag`` sorted by prime with distinct
-primes and nonzero ``Fraction`` exponents, ``arg`` a ``Fraction`` in [0, 1).
-The public constructor establishes it for outside data (``from_parts``,
-``coeff_from_json``).  The group operations rely on it instead: they combine
-two normal forms into a third and build the result with ``_normalised``,
-without sorting, merging or reducing modulo 1 again.
+A value is held as its logarithm in Q^P x Q/Z over one common denominator:
+the private tuple ``(D, primes, exps, argnum)`` stands for e_p = exps[i] / D
+at p = primes[i] and theta = argnum / D.  In the normal form D >= 1 is the
+least common denominator of the exponents and the argument (the gcd of D, the
+exps and argnum is 1), ``primes`` is sorted with no repeats, every exponent
+numerator is a nonzero int and 0 <= argnum < D.  Equal numbers have equal
+tuples, so ``==`` and ``hash`` read the tuple.
+
+The group operations are integer arithmetic on the tuple: a product rescales
+both operands to the lcm of their denominators and adds, an inverse negates,
+``pow`` and ``roots`` scale D.  One gcd brings D back to the least, and it
+runs only when D > 1.  No ``Fraction`` is built.  The public constructors
+(``ExactNonzeroComplex(mag, arg)``, ``from_parts``, ``from_rational``,
+``coeff_from_json``) establish the normal form for outside data.  ``mag`` and
+``arg`` are read-only views, built when read: ``mag`` the (prime, exponent)
+pairs sorted by prime with nonzero ``Fraction`` exponents, ``arg`` a
+``Fraction`` in [0, 1).
 """
 
 from __future__ import annotations
 
 import re
 import reprlib
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import chain
+from math import gcd, lcm
 from numbers import Rational
+from operator import add
 from typing import Iterable, Mapping, Union
 
 from ..jsonfields import _RATIONAL_DIGITS, _json_int_key
 
 RationalLike = Union[int, str, Fraction]
+
+# (D, primes, exps, argnum); see the module docstring
+_Log = tuple[int, tuple[int, ...], tuple[int, ...], int]
 
 
 def as_rational(x: RationalLike) -> Fraction:
@@ -78,9 +93,10 @@ def _factor(n: int) -> dict[int, int]:
     return factors
 
 
-def _norm_mag(items: Iterable[tuple[int, Fraction]]) -> tuple[tuple[int, Fraction], ...]:
-    """The normal form of (prime, exponent) pairs; every key must be a prime
-    below _MR_BOUND, so that equal values have equal normal forms."""
+def _log_of(items: Iterable[tuple[int, RationalLike]], arg: RationalLike) -> _Log:
+    """The normal form of (prime, exponent) pairs and an argument; every key
+    must be a prime below _MR_BOUND, so that equal values have equal normal
+    forms.  Repeated primes add."""
     acc: dict[int, Fraction] = {}
     for p, e in items:
         if not isinstance(p, int):
@@ -89,42 +105,57 @@ def _norm_mag(items: Iterable[tuple[int, Fraction]]) -> tuple[tuple[int, Fractio
             raise ValueError(f"magnitude key {p} is not below {_MR_BOUND}, the bound of the primality check")
         if not _is_prime(p):
             raise ValueError(f"magnitude key {p} is not a prime")
-        acc[p] = acc.get(p, Fraction(0)) + as_rational(e)
-    return tuple(sorted((p, e) for p, e in acc.items() if e != 0))
+        e = as_rational(e)
+        acc[p] = acc[p] + e if p in acc else e
+    arg = as_rational(arg)
+    mag = sorted([pe for pe in acc.items() if pe[1]])
+    # the lcm of the reduced denominators is the least common denominator
+    D = lcm(arg.denominator, *[e.denominator for _, e in mag])
+    return (
+        D,
+        tuple([p for p, _ in mag]),
+        tuple([e.numerator * (D // e.denominator) for _, e in mag]),
+        arg.numerator * (D // arg.denominator) % D,
+    )
 
 
-def _add_mag(a, b) -> tuple[tuple[int, Fraction], ...]:
-    """The normal-form magnitude of the product of two normal-form magnitudes."""
-    if not b:
-        return a
-    if not a:
-        return b
-    acc = dict(a)
-    for p, e in b:
-        e = acc[p] + e if p in acc else e
-        if e:
-            acc[p] = e
-        else:
-            del acc[p]
-    return tuple(sorted(acc.items()))
+def _ratio_text(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` for d >= 1, without building the Fraction."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
-@dataclass(frozen=True)
 class ExactNonzeroComplex:
     """A nonzero complex value with exact multiplicative data."""
 
-    mag: tuple[tuple[int, Fraction], ...] = ()
-    arg: Fraction = Fraction(0)
+    __slots__ = ("_log",)
+    __match_args__ = ("mag", "arg")
 
-    def __post_init__(self):
-        object.__setattr__(self, "mag", _norm_mag(self.mag))
-        object.__setattr__(self, "arg", as_rational(self.arg) % 1)
+    def __init__(self, mag: Iterable[tuple[int, RationalLike]] = (), arg: RationalLike = 0):
+        _set_log(self, _log_of(mag, arg))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _from_log, (self._log,)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._log == other._log
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._log)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def one(cls) -> "ExactNonzeroComplex":
-        return cls()
+        return _from_log((1, (), (), 0))
 
     @classmethod
     def from_rational(cls, q: RationalLike) -> "ExactNonzeroComplex":
@@ -137,65 +168,86 @@ class ExactNonzeroComplex:
         :meth:`from_parts` instead.
         """
         q = as_rational(q)
-        if q == 0:
+        num, den = q.numerator, q.denominator
+        if num == 0:
             raise ValueError("0 is not an element of the nonzero multiplicative group")
-        arg = Fraction(0) if q > 0 else Fraction(1, 2)
-        num, den = abs(q).numerator, abs(q).denominator
-        mag = [(p, Fraction(e)) for p, e in _factor(num).items()]
-        mag += [(p, Fraction(-e)) for p, e in _factor(den).items()]
-        # _factor's keys are primes and num, den are coprime, so the sorted
-        # pairs are already in normal form
-        return cls._normalised(tuple(sorted(mag)), arg)
-
-    @classmethod
-    def _normalised(cls, mag: tuple[tuple[int, Fraction], ...], arg: Fraction) -> "ExactNonzeroComplex":
-        """Build a value from data already in normal form, without ``_norm_mag``.
-
-        The group operations, the torsion branches and ``from_rational``
-        build every result here.  The caller guarantees the invariant ``__post_init__`` would establish:
-        ``mag`` is a tuple of (prime, exponent) pairs sorted by prime, with
-        distinct primes and nonzero ``Fraction`` exponents, and ``arg`` is a
-        ``Fraction`` in [0, 1).  Data that break it break equality and hashing.
-        """
-        value = object.__new__(cls)
-        object.__setattr__(value, "mag", mag)
-        object.__setattr__(value, "arg", arg)
-        return value
+        # num and den are coprime, so their primes are distinct; a negative q
+        # has argument 1/2, which doubles every exponent numerator
+        D = 2 if num < 0 else 1
+        mag = sorted([*_factor(abs(num)).items(), *[(p, -e) for p, e in _factor(den).items()]])
+        return _from_log((D, tuple([p for p, _ in mag]), tuple([e * D for _, e in mag]), D - 1))
 
     @classmethod
     def from_parts(cls, mag: Mapping[int, RationalLike], arg: RationalLike = 0) -> "ExactNonzeroComplex":
         """The value prod_p p^{mag[p]} * exp(2 pi i arg); every key must be a
         prime below _MR_BOUND, or ``ValueError`` names it."""
-        return cls(tuple(mag.items()), arg)
+        return _from_log(_log_of(mag.items(), arg))
 
     # -- views -------------------------------------------------------------
+
+    @property
+    def mag(self) -> tuple[tuple[int, Fraction], ...]:
+        D, primes, exps, _ = self._log
+        return tuple([(p, Fraction(e, D)) for p, e in zip(primes, exps)])
+
+    @property
+    def arg(self) -> Fraction:
+        return Fraction(self._log[3], self._log[0])
 
     @property
     def mag_dict(self) -> dict[int, Fraction]:
         return dict(self.mag)
 
     def is_one(self) -> bool:
-        return not self.mag and self.arg == 0
+        # D = 1 forces argnum = 0
+        return self._log[0] == 1 and not self._log[1]
 
     def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.mag)
+        return self._log[1]
 
     # -- group operations ----------------------------------------------------
 
     def __mul__(self, other: "ExactNonzeroComplex") -> "ExactNonzeroComplex":
         if not isinstance(other, ExactNonzeroComplex):
             return NotImplemented
-        arg = self.arg or other.arg
-        if self.arg and other.arg:
-            arg = self.arg + other.arg
-            if arg >= 1:
-                arg -= 1
-        return ExactNonzeroComplex._normalised(_add_mag(self.mag, other.mag), arg)
+        d1, p1, e1, a1 = self._log
+        d2, p2, e2, a2 = other._log
+        D = d1
+        if d1 != d2:
+            D = lcm(d1, d2)
+            if D != d1:
+                f = D // d1
+                e1, a1 = [e * f for e in e1], a1 * f
+            if D != d2:
+                f = D // d2
+                e2, a2 = [e * f for e in e2], a2 * f
+        if not p2:
+            primes, exps = p1, tuple(e1)
+        elif not p1:
+            primes, exps = p2, tuple(e2)
+        elif p1 == p2:
+            primes, exps = p1, tuple(map(add, e1, e2))
+            if 0 in exps:
+                primes = tuple([p for p, e in zip(p1, exps) if e])
+                exps = tuple([e for e in exps if e])
+        else:
+            acc = dict(zip(p1, e1))
+            for p, e in zip(p2, e2):
+                e += acc.get(p, 0)
+                if e:
+                    acc[p] = e
+                else:
+                    del acc[p]
+            primes = tuple(sorted(acc))
+            exps = tuple([acc[p] for p in primes])
+        if D == 1:
+            return _from_log((1, primes, exps, 0))
+        a = a1 + a2
+        return _reduced(D, primes, exps, a - D if a >= D else a)
 
     def inverse(self) -> "ExactNonzeroComplex":
-        return ExactNonzeroComplex._normalised(
-            tuple([(p, -e) for p, e in self.mag]), 1 - self.arg if self.arg else self.arg
-        )
+        D, primes, exps, a = self._log
+        return _from_log((D, primes, tuple([-e for e in exps]), D - a if a else 0))
 
     def __truediv__(self, other: "ExactNonzeroComplex") -> "ExactNonzeroComplex":
         return self * other.inverse()
@@ -205,38 +257,71 @@ class ExactNonzeroComplex:
 
         All n-th roots of a value are recovered with :meth:`roots`, not here.
         """
-        q = as_rational(q)
-        if not q:
+        if isinstance(q, int):
+            num, den = q, 1
+        else:
+            q = as_rational(q)
+            num, den = q.numerator, q.denominator
+        if not num:
             return ONE
-        return ExactNonzeroComplex._normalised(
-            tuple([(p, e * q) for p, e in self.mag]), self.arg * q % 1
-        )
+        D, primes, exps, a = self._log
+        D *= den
+        exps = tuple([e * num for e in exps])
+        if D == 1:
+            return _from_log((1, primes, exps, 0))
+        return _reduced(D, primes, exps, a * num % D)
 
     def roots(self, n: int) -> frozenset["ExactNonzeroComplex"]:
         """All n-th roots; exactly n pairwise distinct values."""
         if n < 1:
             raise ValueError("root order must be >= 1")
-        mag = tuple([(p, e / n) for p, e in self.mag])
-        # arg < 1 and j <= n - 1, so (arg + j) / n stays in [0, 1)
-        return frozenset(
-            ExactNonzeroComplex._normalised(mag, (self.arg + j) / n) for j in range(n)
-        )
+        D, primes, exps, a = self._log
+        # the j-th root has exponents exps / (D n) and argument (a + j D) / (D n),
+        # which stays below 1 since a < D and j <= n - 1
+        return frozenset(_reduced(D * n, primes, exps, a + j * D) for j in range(n))
 
     def __str__(self) -> str:
-        if not self.mag:
-            mag = "1"
-        else:
-            mag = "*".join(f"{p}^{e}" if e != 1 else str(p) for p, e in self.mag)
-        return f"({mag}, {self.arg} turn)"
+        D, primes, exps, a = self._log
+        mag = "*".join([str(p) if e == D else f"{p}^{_ratio_text(e, D)}" for p, e in zip(primes, exps)])
+        return f"({mag or 1}, {_ratio_text(a, D)} turn)"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(mag={self.mag!r}, arg={self.arg!r})"
+
+
+_new = object.__new__
+_set_log = ExactNonzeroComplex._log.__set__
+
+
+def _from_log(log: _Log) -> ExactNonzeroComplex:
+    """Build a value from its log tuple, which must already be in normal form.
+
+    The group operations, the torsion branches and ``from_rational`` build
+    every result here.  Data that break the normal form break equality and
+    hashing.
+    """
+    value = _new(ExactNonzeroComplex)
+    _set_log(value, log)
+    return value
+
+
+def _reduced(D: int, primes: tuple[int, ...], exps: tuple[int, ...], a: int) -> ExactNonzeroComplex:
+    """The value with log (D, primes, exps, a), for sorted distinct primes,
+    nonzero exps and 0 <= a < D, brought to the least denominator by one gcd."""
+    g = gcd(D, a, *exps)
+    if g == 1:
+        return _from_log((D, primes, exps, a))
+    return _from_log((D // g, primes, tuple([e // g for e in exps]), a // g))
 
 
 ONE = ExactNonzeroComplex.one()
 
 
 def coeff_to_json(a: ExactNonzeroComplex) -> dict:
+    D, primes, exps, num = a._log
     return {
-        "primes": {str(p): str(e) for p, e in a.mag},
-        "arg": str(a.arg),
+        "primes": {str(p): _ratio_text(e, D) for p, e in zip(primes, exps)},
+        "arg": _ratio_text(num, D),
     }
 
 

@@ -361,6 +361,65 @@ def lcm(*xs: int) -> int:
     return math.lcm(*xs)
 
 
+# -- Fraction reference arithmetic for exact values ----------------------------
+#
+# The normal-form arithmetic the value type ran on before it moved to integer
+# log coordinates.  A reference value is a pair (mag, arg): mag the (prime,
+# Fraction exponent) pairs sorted by prime with nonzero exponents, and arg a
+# Fraction in [0, 1).
+
+def ref_value(mag, arg=0):
+    """The reference normal form of exponents by prime and an argument."""
+    acc: dict[int, Fraction] = {}
+    for p, e in dict(mag).items():
+        acc[p] = acc.get(p, Fraction(0)) + Fraction(e)
+    return tuple(sorted((p, e) for p, e in acc.items() if e)), Fraction(arg) % 1
+
+
+def ref_add_mag(a, b):
+    """The normal-form magnitude of the product of two normal-form magnitudes."""
+    acc = dict(a)
+    for p, e in b:
+        e = acc[p] + e if p in acc else e
+        if e:
+            acc[p] = e
+        else:
+            del acc[p]
+    return tuple(sorted(acc.items()))
+
+
+def ref_mul(x, y):
+    return ref_add_mag(x[0], y[0]), (x[1] + y[1]) % 1
+
+
+def ref_inverse(x):
+    return tuple((p, -e) for p, e in x[0]), -x[1] % 1
+
+
+def ref_pow(x, q):
+    q = Fraction(q)
+    if not q:
+        return (), Fraction(0)
+    return tuple((p, e * q) for p, e in x[0]), x[1] * q % 1
+
+
+def ref_roots(x, n: int):
+    return {(tuple((p, e / n) for p, e in x[0]), (x[1] + j) / n) for j in range(n)}
+
+
+def ref_str(x) -> str:
+    mag = "*".join(f"{p}^{e}" if e != 1 else str(p) for p, e in x[0]) or "1"
+    return f"({mag}, {x[1]} turn)"
+
+
+def ref_repr(x) -> str:
+    return f"ExactNonzeroComplex(mag={x[0]!r}, arg={x[1]!r})"
+
+
+def ref_json(x) -> dict:
+    return {"primes": {str(p): str(e) for p, e in x[0]}, "arg": str(x[1])}
+
+
 # -- enhanced-matching node oracle ---------------------------------------------
 
 def enhanced_node_oracle(s_list, products, L):

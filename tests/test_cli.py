@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import subprocess
 import sys
@@ -354,7 +355,9 @@ class TestMalformedCoeff:
         path = tmp_path / "coeff.json"
         path.write_text(json.dumps(obj), encoding="utf-8")
         # CPU time of this process, not wall time: time spent descheduled on a
-        # loaded host is not work done building numbers
+        # loaded host is not work done building numbers; and a collection now,
+        # so that garbage earlier tests left is not collected during the call
+        gc.collect()
         start = time.process_time()
         code, out, err = invoke(capsys, command, str(path))
         elapsed = time.process_time() - start

@@ -1,7 +1,12 @@
+import contextlib
+import copy
+import json
+import pickle
 import random
 import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +16,7 @@ from ncd_moduli.exactnum import (
     ONE,
     ExactNonzeroComplex,
     coeff_from_json,
+    coeff_to_json,
     rank,
     rational_nullspace,
     rref,
@@ -20,6 +26,9 @@ from ncd_moduli.exactnum import (
     strict_positive_solution,
     verify_solution,
 )
+from ncd_moduli import fixtures
+from ncd_moduli import levelsys as ls
+from ncd_moduli import maptype as mp
 from ncd_moduli.exactnum import powersys
 from ncd_moduli.maptype import wproj_equal
 from oracle_helpers import (
@@ -34,8 +43,16 @@ from oracle_helpers import (
     reference_rref,
     reference_solve_linear,
     reference_strict_positive_solution,
+    ref_inverse,
+    ref_json,
+    ref_mul,
+    ref_pow,
+    ref_repr,
+    ref_roots,
+    ref_str,
+    ref_value,
 )
-from ncd_moduli.exactnum.values import _factor, _is_prime
+from ncd_moduli.exactnum.values import _MR_BOUND, _factor, _from_log, _is_prime
 
 frac = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 exact_values = st.builds(
@@ -273,7 +290,11 @@ class TestValues:
         st.builds(Fraction, st.integers(0, 11), st.just(12)),
     )
     def test_normalised_constructor_matches_from_parts(self, mag, arg):
-        a = ExactNonzeroComplex._normalised(tuple(sorted(mag.items())), arg)
+        # the log tuple over the least common denominator, built by hand
+        D = lcm(arg.denominator, *[e.denominator for e in mag.values()])
+        primes = tuple(sorted(mag))
+        exps = tuple(mag[p].numerator * (D // mag[p].denominator) for p in primes)
+        a = _from_log((D, primes, exps, arg.numerator * (D // arg.denominator)))
         b = ExactNonzeroComplex.from_parts(mag, arg)
         assert a == b and hash(a) == hash(b) and str(a) == str(b)
 
@@ -336,6 +357,217 @@ class TestValueArithmetic:
     def test_roots(self, a, n):
         want = {ExactNonzeroComplex(tuple((p, e / n) for p, e in a.mag), (a.arg + j) / n) for j in range(n)}
         assert a.roots(n) == want
+
+
+# Exponent denominators 1..12 and arguments k/12 over small primes and large
+# ones up to the largest prime below _MR_BOUND.
+LARGE_PRIMES = (65537, 4294967291, 2**61 - 1, 3317044064679887385961813)
+assert LARGE_PRIMES[-1] < _MR_BOUND and _is_prime(LARGE_PRIMES[-1])
+ref_exponents = st.builds(Fraction, st.integers(-12, 12).filter(bool), st.integers(1, 12))
+ref_mags = st.dictionaries(st.sampled_from((2, 3, 5, 7, *LARGE_PRIMES)), ref_exponents, max_size=4)
+ref_args = st.builds(Fraction, st.integers(0, 11), st.just(12))
+
+
+@st.composite
+def ref_operands(draw):
+    """(a, b) with their reference pairs; b often cancels some of a's primes."""
+    mag_a, mag_b = draw(ref_mags), draw(ref_mags)
+    if mag_a and draw(st.booleans()):
+        mag_b.update({p: -e for p, e in mag_a.items() if draw(st.booleans())})
+    arg_a, arg_b = draw(ref_args), draw(ref_args)
+    a = ExactNonzeroComplex.from_parts(mag_a, arg_a)
+    b = ExactNonzeroComplex.from_parts(mag_b, arg_b)
+    return a, b, ref_value(mag_a, arg_a), ref_value(mag_b, arg_b)
+
+
+def assert_matches_reference(got, ref):
+    """got is the reference value in every public view."""
+    want = ExactNonzeroComplex(*ref)
+    assert got == want and hash(got) == hash(want)
+    assert got.mag == ref[0] and got.arg == ref[1]
+    assert [type(p) for p, _ in got.mag] == [int] * len(ref[0])
+    assert all(type(e) is Fraction for _, e in got.mag) and type(got.arg) is Fraction
+    assert str(got) == ref_str(ref)
+    assert repr(got) == ref_repr(ref)
+    assert coeff_to_json(got) == ref_json(ref)
+
+
+class TestValueReference:
+    """The integer log arithmetic against the Fraction normal-form arithmetic
+    it replaced (``oracle_helpers.ref_*``)."""
+
+    @given(ref_operands())
+    @settings(max_examples=300)
+    def test_mul_and_div(self, operands):
+        a, b, ra, rb = operands
+        assert_matches_reference(a, ra)
+        assert_matches_reference(a * b, ref_mul(ra, rb))
+        assert_matches_reference(a / b, ref_mul(ra, ref_inverse(rb)))
+
+    @given(ref_operands())
+    def test_inverse(self, operands):
+        a, _, ra, _ = operands
+        assert_matches_reference(a.inverse(), ref_inverse(ra))
+        assert_matches_reference(a * a.inverse(), ((), Fraction(0)))
+
+    @given(ref_operands(), st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)))
+    def test_pow(self, operands, q):
+        a, _, ra, _ = operands
+        assert_matches_reference(a.pow(q), ref_pow(ra, q))
+        if q.denominator == 1:
+            assert_matches_reference(a.pow(int(q)), ref_pow(ra, q))
+
+    @given(ref_operands(), st.integers(1, 12))
+    def test_roots(self, operands, n):
+        a, _, ra, _ = operands
+        got = {(r.mag, r.arg): r for r in a.roots(n)}
+        assert set(got) == ref_roots(ra, n)
+        for ref, r in got.items():
+            assert_matches_reference(r, ref)
+
+    @given(st.integers(-720, 720).filter(bool), st.integers(1, 720), st.integers(1, 12))
+    def test_one_number_one_value(self, a, b, k):
+        q = Fraction(a, b)
+        direct = ExactNonzeroComplex.from_rational(q)
+        up, down = reference_factor(abs(q.numerator)), reference_factor(q.denominator)
+        unreduced = {p: f"{e * k}/{k}" for p, e in up.items()}
+        unreduced.update({p: f"{-e * k}/{k}" for p, e in down.items()})
+        parts = ExactNonzeroComplex.from_parts(unreduced, f"{k if q < 0 else 0}/{2 * k}")
+        chain = ExactNonzeroComplex.from_parts({}, Fraction(1, 2)) if q < 0 else ONE
+        for p, e in up.items():
+            chain = chain * ExactNonzeroComplex.from_parts({p: Fraction(e, k)}).pow(k)
+        for p, e in down.items():
+            chain = chain / ExactNonzeroComplex.from_rational(p**e)
+        assert direct == parts == chain
+        assert len({hash(direct), hash(parts), hash(chain)}) == 1
+        assert str(direct) == str(parts) == str(chain)
+
+
+class TestValueContract:
+    """What a value promises outside its arithmetic: copies, immutability and
+    its repr text."""
+
+    SAMPLES = {
+        "sqrt2-third-turn": (
+            lambda: ExactNonzeroComplex.from_parts({2: Fraction(1, 2)}, Fraction(1, 3)),
+            "ExactNonzeroComplex(mag=((2, Fraction(1, 2)),), arg=Fraction(1, 3))",
+        ),
+        "minus-12/35": (
+            lambda: ExactNonzeroComplex.from_rational(Fraction(-12, 35)),
+            "ExactNonzeroComplex(mag=((2, Fraction(2, 1)), (3, Fraction(1, 1)), (5, Fraction(-1, 1)), "
+            "(7, Fraction(-1, 1))), arg=Fraction(1, 2))",
+        ),
+        "mixed": (
+            lambda: ExactNonzeroComplex.from_parts({3: -2, 7: Fraction(5, 6)}, Fraction(7, 12)),
+            "ExactNonzeroComplex(mag=((3, Fraction(-2, 1)), (7, Fraction(5, 6))), arg=Fraction(7, 12))",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SAMPLES))
+    def test_repr_text(self, name):
+        build, text = self.SAMPLES[name]
+        assert repr(build()) == text
+
+    @pytest.mark.parametrize("route", ["copy", "deepcopy", "pickle"])
+    @pytest.mark.parametrize("name", sorted(SAMPLES))
+    def test_copies_are_equal_values(self, name, route):
+        value = self.SAMPLES[name][0]()
+        copied = {
+            "copy": copy.copy,
+            "deepcopy": copy.deepcopy,
+            "pickle": lambda v: pickle.loads(pickle.dumps(v)),
+        }[route](value)
+        assert type(copied) is ExactNonzeroComplex
+        assert copied == value and hash(copied) == hash(value)
+        assert str(copied) == str(value) and repr(copied) == repr(value)
+        assert copied * value.inverse() == ONE
+
+    @pytest.mark.parametrize("field", ["mag", "arg", "other"])
+    def test_assignment_raises(self, field):
+        value = self.SAMPLES["mixed"][0]()
+        with pytest.raises(AttributeError):
+            setattr(value, field, ONE)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert repr(value) == self.SAMPLES["mixed"][1]
+
+
+@contextlib.contextmanager
+def fraction_counter():
+    """Counts the Fractions built inside the block: calls to
+    ``Fraction.__new__``, and to ``Fraction._from_coprime_ints`` where the
+    running Python has it."""
+    count = [0]
+    saved = {name: Fraction.__dict__[name] for name in ("__new__", "_from_coprime_ints") if name in Fraction.__dict__}
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        count[0] += 1
+        return new(cls, *args, **kwargs)
+
+    Fraction.__new__ = counting_new
+    if "_from_coprime_ints" in saved:
+        coprime = Fraction._from_coprime_ints.__func__
+
+        def counting_coprime(cls, *args):
+            count[0] += 1
+            return coprime(cls, *args)
+
+        Fraction._from_coprime_ints = classmethod(counting_coprime)
+    try:
+        yield count
+    finally:
+        for name, raw in saved.items():
+            setattr(Fraction, name, raw)
+
+
+class TestIntegerArithmeticOnly:
+    """Enhanced matching, gluing and the power solvers work on the integer log
+    tuples: they build no Fraction and read neither the ``mag`` nor the
+    ``arg`` view."""
+
+    @staticmethod
+    def spy_views(monkeypatch) -> list[str]:
+        """Record every read of the ``mag`` and ``arg`` views from now on."""
+        reads = []
+        for name in ("mag", "arg"):
+            view = getattr(ExactNonzeroComplex, name)
+
+            def read(self, name=name, view=view):
+                reads.append(name)
+                return view.fget(self)
+
+            monkeypatch.setattr(ExactNonzeroComplex, name, property(read))
+        return reads
+
+    @staticmethod
+    def calls():
+        neck2, neck1b = fixtures.neck2(), fixtures.neck1b()
+        path = Path(__file__).parent / "data" / "glue-mult6.json"
+        gp = ls.gluing_from_dict(json.loads(path.read_text(encoding="utf-8")))
+        values = [ExactNonzeroComplex.from_parts({2: 1, 3: 2}, Fraction(1, 12)),
+                  ExactNonzeroComplex.from_parts({5: 3}, Fraction(5, 12))]
+        return {
+            "enhanced-neck2": lambda: mp.check_enhanced(neck2),
+            "enhanced-neck1b": lambda: mp.check_enhanced(neck1b),
+            "gluing-mult6": lambda: ls.solve_gluing(gp),
+            "power-2x2": lambda: list(solve_power_system([[2, 1], [0, 3]], values).solutions),
+        }
+
+    @pytest.mark.parametrize("name", ["enhanced-neck2", "enhanced-neck1b", "gluing-mult6", "power-2x2"])
+    def test_no_fraction_built(self, name):
+        call = self.calls()[name]
+        with fraction_counter() as count:
+            result = call()
+        assert count[0] == 0
+        assert result
+
+    @pytest.mark.parametrize("name", ["enhanced-neck2", "enhanced-neck1b", "gluing-mult6", "power-2x2"])
+    def test_no_view_read(self, name, monkeypatch):
+        call = self.calls()[name]
+        reads = self.spy_views(monkeypatch)
+        assert call()
+        assert reads == []
 
 
 class TestFactor:
