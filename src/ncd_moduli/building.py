@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .divisor import CombinatorialDivisor, Stratum, local_model
+from .divisor import CombinatorialDivisor, local_model
 
 
 @dataclass(frozen=True)
@@ -105,14 +105,6 @@ class LevelBuilding:
     divisor_strata: tuple[DivisorStratumLabel, ...]
     attaching: tuple[tuple[DivisorStratumLabel, DivisorStratumLabel], ...]
 
-    # -- bounds ---------------------------------------------------------------
-
-    def slot_bound(self, stratum: Stratum, slot: int) -> int:
-        if self.mode == "uniform":
-            return self.m
-        table = dict(self.levels_by_component)
-        return table[stratum.slots[slot]]
-
     # -- counting accessors ----------------------------------------------------
 
     def connected_piece_count(self) -> int:
@@ -143,9 +135,11 @@ class LevelBuilding:
         return sum(1 for c in self.piece_classes() if depth is None or c.depth == depth)
 
     def local_labels(self, stratum_id: str) -> tuple[PieceLabel, ...]:
-        """All (m+1)^k local piece labels over a point of the stratum."""
+        """All local piece labels over a point of the stratum, each slot up to
+        its own component's level count: (m+1)^k in a uniform building."""
         s = self.divisor.stratum(stratum_id)
-        ranges = [range(self.slot_bound(s, i) + 1) for i in range(s.depth)]
+        bounds = dict(self.levels_by_component)
+        ranges = [range(bounds[ref] + 1) for ref in s.slots]
         return tuple(PieceLabel(s.id, lv) for lv in itertools.product(*ranges))
 
 

@@ -3,8 +3,9 @@
 Subcommands cover the whole pipeline: divisor stratification, building
 enumeration, map-type validation, dimension calculus, level systems, and
 gluing problems.  ``--json`` switches to a machine envelope
-{"version": "ncd-moduli/1", "command": ..., "result": ...}; file arguments
-accept ``-`` for standard input.  Exit codes: 0 success, 1 validation
+{"version": "ncd-moduli/1", "command": ..., "result": ...}, which one writer
+(``_emit``) puts around each subcommand's result; file arguments accept
+``-`` for standard input.  Exit codes: 0 success, 1 validation
 failure, 2 malformed input.
 
 Each subcommand imports the library modules it runs when it runs, after
@@ -16,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
     from .divisor import CombinatorialDivisor
@@ -69,16 +70,18 @@ def _load_maptype(path: str) -> MapType:
         raise InputError(f"malformed map-type file: {e}") from e
 
 
-def _emit(args, command: str, result, human_lines) -> None:
-    if args.json:
-        print(json.dumps(
-            {"version": FORMAT_VERSION, "command": command, "result": result},
-            indent=2,
-            sort_keys=True,
-        ))
-    else:
+def _emit(args, command: str, result=None, human_lines=(), *, text: Optional[str] = None) -> None:
+    """Print human_lines, or with ``--json`` the envelope around ``text``, the
+    result's JSON text, written from ``result`` unless the caller holds it.  The
+    text is indented one step further: a JSON string token holds no raw newline."""
+    if not args.json:
         for line in human_lines:
             print(line)
+        return
+    if text is None:
+        text = json.dumps(result, indent=2, sort_keys=True)
+    text = text.replace("\n", "\n  ")
+    print(f'{{\n  "command": "{command}",\n  "result": {text},\n  "version": "{FORMAT_VERSION}"\n}}')
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -149,10 +152,7 @@ def _cmd_building(args) -> int:
     except ValueError as e:
         raise InputError(str(e)) from e
     if args.json:
-        # _emit's envelope around the writer's text, the result indented one
-        # step further: a JSON string token holds no raw newline
-        result = bd.dumps(b)[:-1].replace("\n", "\n  ")
-        print(f'{{\n  "command": "building",\n  "result": {result},\n  "version": "{FORMAT_VERSION}"\n}}')
+        _emit(args, "building", text=bd.dumps(b)[:-1])
         return 0
     classes = b.piece_classes()
     lines = [
@@ -320,11 +320,7 @@ def _cmd_example(args) -> int:
             raise InputError(f"cannot write {args.emit}: {e}") from e
         print(f"wrote {entry.kind} fixture {args.name} to {args.emit}", file=sys.stderr)
     elif args.json:
-        print(json.dumps(
-            {"version": FORMAT_VERSION, "command": "example", "result": json.loads(text)},
-            indent=2,
-            sort_keys=True,
-        ))
+        _emit(args, "example", text=text[:-1])
     else:
         sys.stdout.write(text)
     return 0

@@ -27,10 +27,11 @@ signs makes one unknown a positive multiple of the other, and that unknown
 is substituted out; a row of one sign has no positive solution.  A level
 system's rows mostly have two terms, so on them little or nothing is left.
 What is left goes to the simplex, on the equivalent inhomogeneous problem
-``A v = 0, v >= 1`` (the cone is scale invariant).  The witness may
-therefore differ from the one Bland's rule gives on the whole matrix, but
-whether one exists does not, and a witness is checked against every
-original row before it is returned.
+``A v = 0, v >= 1`` (the cone is scale invariant): on the presolved rows in
+their own columns, where a column that no row holds never enters, and in
+integers up to the witness.  The witness may therefore differ from the one
+Bland's rule gives on the whole matrix, but whether one exists does not,
+and a witness is checked against every original row before it is returned.
 """
 
 from __future__ import annotations
@@ -201,11 +202,13 @@ def rational_nullspace(A) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(v) for v in basis.values())
 
 
-def _phase_one_feasible(T: list[SparseRow], n: int) -> Optional[list[Fraction]]:
+def _phase_one_feasible(T: list[SparseRow], n: int) -> Optional[tuple[list[int], list[int]]]:
     """Exact phase-1 simplex: find x >= 0 with A x = b, else None.
 
     Row i of the tableau ``[A | b]`` is ``T[i]``, a sparse integer row over
     columns 0 .. n (b is column n) with ``b >= 0``; T is pivoted in place.
+    x is returned as the numerators and the positive denominators of its
+    coordinates, in lowest terms.
     Artificial variable i starts basic in row i.  Artificial columns never
     enter, so they are not stored.  Bland's rule on both the entering and
     leaving choices rules out cycling, so termination is guaranteed in exact
@@ -247,11 +250,13 @@ def _phase_one_feasible(T: list[SparseRow], n: int) -> Optional[list[Fraction]]:
         basis[leave] = entering
     if n in T[m]:
         return None
-    x = [_ZERO] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = Fraction(T[i].get(n, 0), den[i])
-    return x
+    num, q = [0] * n, [1] * n
+    for i, c in enumerate(basis):
+        if c < n:
+            x = T[i].get(n, 0)
+            g = gcd(x, den[i])
+            num[c], q[c] = x // g, den[i] // g
+    return num, q
 
 
 def _one_signed(row: SparseRow) -> bool:
@@ -358,26 +363,23 @@ def _strict_positive(A_int: Sequence[SparseRow], n: int) -> Optional[tuple[Fract
     if presolved is None:
         return None
     live, subs = presolved
-    # the rows left, over the columns they hold, renumbered in order
-    columns = sorted({c for row in live.values() for c in row})
-    index = {c: i for i, c in enumerate(columns)}
-    width = len(columns)
+    # the rows left, on their own columns; a row of A_int is copied before its
+    # right-hand side is written in
     T = []
     for i in sorted(live):
-        row = {index[c]: x for c, x in live[i].items()}
+        row = live[i]
         rhs = -sum(row.values())
-        t = {k: -x for k, x in row.items()} if rhs < 0 else row
+        t = {k: -x for k, x in row.items()} if rhs < 0 else dict(row)
         if rhs:
-            t[width] = abs(rhs)
+            t[n] = abs(rhs)
         T.append(t)
-    w = _phase_one_feasible(T, width)
+    w = _phase_one_feasible(T, n)
     if w is None:
         return None
-    # v_c = num[c] / den[c] in lowest terms: w + 1 on the columns left, 1 on
-    # a column no row holds, and each substituted column from its replacement
-    num, den = [1] * n, [1] * n
-    for c, x in zip(columns, w):
-        num[c], den[c] = x.numerator + x.denominator, x.denominator
+    # v_c = num[c] / den[c] in lowest terms: w + 1, which is 1 on a column no
+    # row holds, and each substituted column from its replacement
+    x, den = w
+    num = [a + q for a, q in zip(x, den)]
     for j, k, p, q in reversed(subs):
         a, b = num[k] * p, den[k] * q
         g = gcd(a, b)

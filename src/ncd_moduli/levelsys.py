@@ -17,8 +17,9 @@ the type to arise as a limit; the dimension of the beta-projection of the
 solution space is the number of independent rescaling parameters, i.e. the
 stratum's complex codimension.  That dimension is len(betas) minus the
 number of independent relations among the betas, which one elimination of
-the level matrix gives.  The matrix is built once, as sparse rows; ``rows()``
-is its dense view for outside callers.
+the level matrix gives.  ``MapType`` assembles the system once, beside the
+checks that gate it, and ``build_system`` returns it.  The matrix is built
+once, as sparse rows; ``rows()`` is its dense view for outside callers.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .exactnum import (
 )
 from .exactnum.linalg import SparseRow, _rref, _strict_positive
 from .jsonfields import _json_int, _json_int_key, _json_list, _json_object, _json_str
-from .maptype import BetaKey, LevelEquation, MapType, check_broken_cylinders
+from .maptype import BetaKey, LevelEquation, MapType
 
 
 class LevelSystemError(ValueError):
@@ -113,17 +114,9 @@ class LevelSystem:
 
 
 def build_system(mt: MapType) -> LevelSystem:
-    """The level system of a validated map type, assembled once per ``MapType``."""
+    """The level system of a validated map type, assembled once per ``MapType``
+    (``MapType._level_system``)."""
     return mt._level_system
-
-
-def _assemble(mt: MapType) -> LevelSystem:
-    problems = mt._structure or mt._naive or check_broken_cylinders(mt)
-    if problems:
-        raise LevelSystemError("; ".join(problems))
-    equations = tuple(eq for walk in mt.walks for eq in walk.steps)
-    alphas = sorted({nid for eq in equations for nid in eq.nodes})
-    return LevelSystem(tuple(alphas), mt.beta_keys, equations)
 
 
 def feasible_positive(sys: LevelSystem) -> Optional[dict]:

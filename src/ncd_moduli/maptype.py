@@ -25,9 +25,10 @@ A ``MapType`` computes each fact about itself once, on first use:
   level through ``beta_key``; the walks and ``asymptotic_classes`` test it
   with ``has_beta``, and relative stability visits the levels in order up
   to the first one not covered;
-- its level system, which ``levelsys.build_system`` returns, so
-  ``torus_dim``, ``beta_relations`` and ``stratum_codim`` share one
-  elimination of its level matrix.
+- its level system, assembled here beside the three checks that gate it
+  and returned by ``levelsys.build_system``, so ``torus_dim``,
+  ``beta_relations`` and ``stratum_codim`` share one elimination of its
+  level matrix.
 
 A computation that raises is not kept: it raises again on every call.
 """
@@ -241,10 +242,16 @@ class MapType:
 
     @cached_property
     def _level_system(self) -> LevelSystem:
-        """``build_system(self)``; raises its LevelSystemError on every read."""
-        from . import levelsys
+        """``build_system(self)``, gated on the first three checks of
+        ``validation``; raises their violations as LevelSystemError on every read."""
+        from .levelsys import LevelSystem, LevelSystemError
 
-        return levelsys._assemble(self)
+        problems = self._structure or self._naive or check_broken_cylinders(self)
+        if problems:
+            raise LevelSystemError("; ".join(problems))
+        equations = tuple(eq for walk in self.walks for eq in walk.steps)
+        alphas = sorted({nid for eq in equations for nid in eq.nodes})
+        return LevelSystem(tuple(alphas), self.beta_keys, equations)
 
 
 @dataclass(frozen=True)
