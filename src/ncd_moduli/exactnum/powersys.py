@@ -93,11 +93,18 @@ class TorsionBranches(Sequence):
         return tuple(out)
 
     def __eq__(self, other) -> bool:
+        """Equal to branches or a tuple holding the same branches in order.
+        The lengths are compared first (``len`` fails past ``sys.maxsize``),
+        then the branches one at a time, up to the first that differs."""
         if isinstance(other, TorsionBranches):
-            return self._data == other._data or tuple(self) == tuple(other)
-        if isinstance(other, tuple):
-            return tuple(self) == other
-        return NotImplemented
+            if self._data == other._data:
+                return True
+            n = other._len
+        elif isinstance(other, tuple):
+            n = len(other)
+        else:
+            return NotImplemented
+        return self._len == n and all(map(operator.eq, self, other))
 
     def __hash__(self) -> int:
         return hash(tuple(self))

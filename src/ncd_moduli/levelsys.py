@@ -354,16 +354,18 @@ def _direction_from_dict(d, nid: str) -> GluingDirection:
     level_range = d["range"]
     if not isinstance(level_range, list) or len(level_range) != 2:
         raise ValueError(f"{where} range = {reprlib.repr(level_range)} is not a list of two integers")
-    return GluingDirection(
-        direction,
-        _json_int(d["s"], f"{where} s"),
-        coeff_from_json(d["product"]),
-        tuple(_json_int(x, f"{where} range") for x in level_range),
-    )
+    s = _json_int(d["s"], f"{where} s")
+    product = coeff_from_json(d["product"])
+    lo, hi = (_json_int(x, f"{where} range") for x in level_range)
+    if lo > hi:
+        raise ValueError(f"{where} range = {reprlib.repr(level_range)} is reversed")
+    return GluingDirection(direction, s, product, (lo, hi))
 
 
 def gluing_from_dict(obj: Mapping) -> GluingProblem:
-    """Load a gluing problem; ``ValueError`` names a field of the wrong JSON type."""
+    """Load a gluing problem; ``ValueError`` names a field of the wrong JSON
+    type, a multiplicity below 1 or a level range whose low end is above its
+    high end."""
     nodes = []
     for n in _json_list(obj.get("nodes", []), "nodes"):
         n = _json_object(n, "node")

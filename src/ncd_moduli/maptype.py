@@ -782,16 +782,17 @@ def _slot_from_dict(obj, pid: str) -> tuple[str, ContactSlot]:
     s = obj.get("s")
     direction = _json_str(obj["direction"], f"{pid}: slot direction")
     where = f"{pid}: {direction}"
-    return (
-        direction,
-        ContactSlot(
-            s=None if s is None else _json_int(s, f"{where} s"),
-            eps=_json_int(obj.get("eps", 0), f"{where} eps"),
-            level=_json_int(obj.get("level", 0), f"{where} level"),
-            coeff=None if coeff is None else coeff_from_json(coeff),
-            formal=_json_bool(obj.get("formal", False), f"{where} formal"),
-        ),
+    fields = dict(
+        s=None if s is None else _json_int(s, f"{where} s"),
+        eps=_json_int(obj.get("eps", 0), f"{where} eps"),
+        level=_json_int(obj.get("level", 0), f"{where} level"),
+        coeff=None if coeff is None else coeff_from_json(coeff),
+        formal=_json_bool(obj.get("formal", False), f"{where} formal"),
     )
+    try:
+        return direction, ContactSlot(**fields)
+    except ValueError as e:
+        raise ValueError(f"{where} {e}") from None
 
 
 def _point_from_dict(obj, cid: str) -> tuple[str, ContactRecord]:

@@ -469,7 +469,8 @@ class TestIntegerFields:
 
 
 class TestShapes:
-    """An object or a list given as the other JSON type exits 2 naming the field."""
+    """An object or a list given as the other JSON type, or a value that the
+    field cannot take, exits 2 naming the field."""
 
     # (command, path to the field, bad value, message); paths start in neck2
     # for validate and in the gluing payload for glue
@@ -520,6 +521,22 @@ class TestShapes:
             "validate", ("components", 0, "points", 0, "slots", 0, "formal"), "false",
             "main@z0: d1 formal = 'false' is not a boolean",
         ),
+        "eps-2": (
+            "validate", ("components", 0, "points", 0, "slots", 0, "eps"), 2,
+            "main@z0: d1 sign must be -1, 0 or +1",
+        ),
+        "eps-minus-2": (
+            "validate", ("components", 0, "points", 0, "slots", 0, "eps"), -2,
+            "main@z0: d1 sign must be -1, 0 or +1",
+        ),
+        "s-0": (
+            "validate", ("components", 0, "points", 0, "slots", 0, "s"), 0,
+            "main@z0: d1 multiplicity must be positive or undefined",
+        ),
+        "s-negative": (
+            "validate", ("components", 0, "points", 0, "slots", 0, "s"), -3,
+            "main@z0: d1 multiplicity must be positive or undefined",
+        ),
         "glue-levels-list": ("glue", ("levels",), [], "levels = [] is not an object"),
         "glue-nodes-object": ("glue", ("nodes",), {}, "nodes = {} is not a list"),
         "glue-directions-object": ("glue", ("nodes", 0, "directions"), {}, "x directions = {} is not a list"),
@@ -529,6 +546,9 @@ class TestShapes:
         "glue-node-id-int": ("glue", ("nodes", 0, "id"), 1, "node id must be a string, not int"),
         "glue-direction-int": (
             "glue", ("nodes", 0, "directions", 0, "direction"), 1, "x: direction must be a string, not int"
+        ),
+        "glue-range-reversed": (
+            "glue", ("nodes", 0, "directions", 0, "range"), [3, 1], "x: d1 range = [3, 1] is reversed"
         ),
     }
     # a map-type case is run through every subcommand that loads a map type

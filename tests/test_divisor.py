@@ -65,6 +65,56 @@ class TestValidate:
         assert validate(swapped) == []
 
 
+def _one_line(**change):
+    """local_model(1), the line h1 in the plane X, with the given fields
+    replaced: ``dim_x`` or ``components`` of the divisor, or ``X`` or ``h1``
+    as a dict of stratum fields, or ``extra`` strata appended."""
+    d = local_model(1)
+    strata = tuple(dataclasses.replace(s, **change.get(s.id, {})) for s in d.strata)
+    return CombinatorialDivisor(
+        change.get("dim_x", d.dim_x), change.get("components", d.components), strata + change.get("extra", ())
+    )
+
+
+class TestValidateRules:
+    """One minimal broken divisor per rule of ``validate``, with its messages."""
+
+    H1 = local_model(1).components[0]
+    CASES = {
+        "dimX-odd": ({"dim_x": 3}, ["dimX must be even and positive, got 3"]),
+        "duplicate-component": ({"components": (H1, H1)}, ["duplicate component ids"]),
+        "duplicate-stratum": ({"extra": (Stratum("h1", 1, ("h1",)),)}, ["duplicate stratum ids"]),
+        "two-depth-0": (
+            {"extra": (Stratum("Y", 0, boundary={"h1"}),)}, ["expected exactly one depth-0 stratum, found 2"]
+        ),
+        "depth-0-slots": (
+            {"X": {"slots": ("h1",)}}, ["depth-0 stratum must have no slots", "X: slot count 1 != depth 0"]
+        ),
+        "slot-count": ({"h1": {"slots": ("h1", "h1")}}, ["h1: slot count 2 != depth 1"]),
+        "normalization": ({"h1": {"normalization_components": 0}}, ["h1: normalization_components must be positive"]),
+        "unknown-component": ({"h1": {"slots": ("h9",)}}, ["h1: slot references unknown component 'h9'"]),
+        "not-a-permutation": ({"h1": {"monodromy": ((1,),)}}, ["h1: monodromy (1,) is not a permutation of its slots"]),
+        "boundary-depth": ({"h1": {"boundary": {"X"}}}, ["h1: boundary stratum X is not one level deeper"]),
+        "in-no-boundary": ({"X": {"boundary": ()}}, ["h1: depth-1 stratum not in any boundary"]),
+    }
+
+    def test_base_is_valid(self):
+        assert validate(_one_line()) == []
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_message(self, case):
+        change, messages = self.CASES[case]
+        assert validate(_one_line(**change)) == messages
+
+    def test_strata_exits_1(self, capsys, tmp_path):
+        from ncd_moduli.cli import run
+
+        path = tmp_path / "bad.json"
+        path.write_text(dumps(_one_line(components=(self.H1, self.H1))), encoding="utf-8")
+        code = run(["strata", str(path)])
+        assert (code, capsys.readouterr().out) == (1, "invalid divisor:\n  - duplicate component ids\n")
+
+
 class TestLocalModel:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_stratum_counts_match_binomials(self, n):

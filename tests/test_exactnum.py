@@ -1004,6 +1004,29 @@ class TestPowerSystems:
         assert sol.consistent and sol.branch_count == 10**20
         assert verify_solution(M, values, sol.solutions[0])
 
+    def test_equality_builds_only_the_branches_it_compares(self, monkeypatch):
+        built = []
+        real = powersys.TorsionBranches._branch
+
+        def spy(self, digits):
+            built.append(tuple(digits))
+            assert len(built) <= 7, "built more branches than the comparisons read"
+            return real(self, digits)
+
+        monkeypatch.setattr(powersys.TorsionBranches, "_branch", spy)
+        six = solve_power_system([[6]], [ONE]).solutions
+        assert six != () and six != ((ONE,),) * 5
+        assert built == []
+        # 10**20 branches: building them all, or calling len(), never ends
+        huge = solve_power_system([[10**20]], [ONE]).solutions
+        assert huge != () and six != huge and huge != six
+        assert built == []
+        first, *rest = [real(six, [j]) for j in range(6)]
+        assert six != tuple([rest[0]] + rest)
+        assert built == [(0,)]
+        assert six == tuple([first] + rest)
+        assert len(built) == 7
+
     def test_diagonal_300_first_branch_fast(self):
         M = [[300, 0], [0, 300]]
         values = [ExactNonzeroComplex.from_parts({2: 3, 3: 1}, Fraction(1, 12)),

@@ -531,6 +531,14 @@ class TestScalingInvariance:
 
 
 class TestAsymptoticClasses:
+    def test_infeasible_system_raises(self):
+        # neck2 in a uniform building: a(z0) = b(1) in d1 and 2 a(z0) = b(1) in d2
+        mt = dataclasses.replace(neck2(), building_mode="uniform", m=1)
+        assert mt.validation.valid
+        assert feasible_positive(build_system(mt)) is None
+        with pytest.raises(levelsys.LevelSystemError, match="^level system has no strictly positive solution$"):
+            asymptotic_classes(mt)
+
     def test_neck1a_single_class(self):
         classes = asymptotic_classes(neck1a())
         assert len(classes) == 1
@@ -793,6 +801,27 @@ class TestLogLinearity:
         assert {d.direction: d.multiplicity for d in node.directions} == {"d1": 1, "d2": 2}
         for d in node.directions:
             assert d.product.is_one()
+
+    @staticmethod
+    def _neck2_with(*edits):
+        """neck2 with each (component, slot, field, value) set on the first
+        point of main (0) or bubble (1), the two ends of node z0; slot 0 is
+        d1 and slot 1 is d2."""
+        obj = maptype.maptype_to_dict(neck2())
+        for component, slot, field, value in edits:
+            obj["components"][component]["points"][0]["slots"][slot][field] = value
+        return maptype.maptype_from_dict(obj)
+
+    @pytest.mark.parametrize("end", [0, 1], ids=["main", "bubble"])
+    @pytest.mark.parametrize("field, value", [("eps", 0), ("coeff", None)], ids=["sign-0", "no-coefficient"])
+    def test_gluing_problem_skips_direction(self, end, field, value):
+        (node,) = gluing_problem_from_maptype(self._neck2_with((end, 0, field, value))).nodes
+        assert node.id == "node:bubble@z0|main@z0"
+        assert [d.direction for d in node.directions] == ["d2"]
+
+    def test_gluing_problem_skips_node_without_directions(self):
+        mt = self._neck2_with((0, 0, "eps", 0), (1, 1, "coeff", None))
+        assert gluing_problem_from_maptype(mt).nodes == ()
 
 
 class TestTorusDimBounds:

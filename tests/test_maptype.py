@@ -548,6 +548,13 @@ def _contraction_error(mt):
     return [str(e.value)]
 
 
+def _validate_structure(mt):
+    """What ``validate`` reports as structure violations; it checks nothing after them."""
+    v = mt.validation
+    assert (v.valid, v.naive) == (False, None)
+    return list(v.structure)
+
+
 class TestValidatorMessages:
     """Each message of a validator, reached by a minimal edit of a fixture's
     dict; the full report of the function that gives it is pinned."""
@@ -627,6 +634,23 @@ class TestValidatorMessages:
             lambda o: o["nodes"].pop(2),
             _contraction_error,
             ["chain through g2 has two marked ends"],
+        ),
+        "trivial-cycle-validate": (
+            neck2,
+            lambda o: _set(o, ("nodes", 1, "ends", 0), "g2@x1"),
+            _validate_structure,
+            ["trivial components around g1 form a cycle"],
+        ),
+        "chain-two-marked-ends-validate": (
+            neck2,
+            lambda o: o["nodes"].pop(2),
+            _validate_structure,
+            [
+                "chain through g2 has two marked ends",
+                "g2@lo: marked point on an infinity divisor (d1)",
+                "g2@lo: marked point on an infinity divisor (d2)",
+                "marked contact degree 9 != A.V = 5",
+            ],
         ),
         "image-strata-differ": (
             smooth_level_one,
