@@ -10,15 +10,19 @@ over Q/Z with a_k = argnum_k * L / D_k, solved through the Smith normal form
 of M: the number of torsion branches is the product of the nonzero
 elementary divisors, and the continuous part is the kernel torus of M.
 
-A system with one unknown, mu^{s_k} = p_k (enhanced matching, gluing and
-the weighted-projective test all solve these), builds no Smith form.  One
-pass over the rows keeps the solutions of the rows so far: the prime
-exponents of mu, read off the first row with s_k != 0 and checked on every
-later row by integer cross-multiplication, and g theta = y / L (mod 1) for
-its argument theta, which each row joins through an extended gcd.  The first
-row that breaks either is the violated equation, so no prefix is solved
-again; only a system with two or more unknowns does that.  The branches and
-their order are the ones the Smith path gives.
+A system with one unknown, mu^{s_k} = p_k, builds no Smith form.  One
+integer pass over the rows' log tuples (``_column_pass``) keeps the
+solutions of the rows so far: the prime exponents of mu, read off the first
+row with s_k != 0 and checked on every later row by integer
+cross-multiplication, and g theta = y / L (mod 1) for its argument theta,
+which each row joins through an extended gcd.  The first row that breaks
+either is the violated equation, so no prefix is solved again; only a system
+with two or more unknowns does that.  ``solve_power_system`` wraps the pass
+in its solution and lazy branches, whose order is the one the Smith path
+gives; ``solve_gluing`` reads those.  ``maptype``'s enhanced matching and
+weighted-projective test call the pass itself, and enhanced matching builds
+its witness, the first branch, with ``_first_root``, so neither builds a
+solution object.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from typing import Optional
 
 from .lattice import _int_rows, _xgcd, smith_normal_form
 from .linalg import _rref
-from .values import ExactNonzeroComplex, _from_log
+from .values import ExactNonzeroComplex, _from_log, _reduced
 
 
 def _unknown(D: int, primes, exps, offset: int, steps) -> tuple:
@@ -131,26 +135,28 @@ class PowerSystemSolution:
         return self.consistent
 
 
-def _solve_column(s: list[int], values: Sequence[ExactNonzeroComplex]) -> PowerSystemSolution:
-    """Solve mu^{s_k} = values[k] in one pass over the rows, in integers.
+def _column_pass(s: Sequence[int], logs: Sequence[tuple]):
+    """Solve mu^{s_k} = p_k in one pass over the rows, in integers.
 
-    Each value is read as its log tuple (D_k, primes_k, exps_k, argnum_k),
-    and L is the one lcm of the D_k.  After row k the pass holds the
-    solutions of rows 0..k.  The magnitude of mu is exps_f / (D_f s_f), set
-    by the first row f with s_f != 0; a later row k holds it iff it has the
-    same primes and s_k D_k exps_f = s_f D_f exps_k, and a row with s_k = 0
-    iff it has no primes.  The argument theta satisfies g theta = y / L (mod 1).
-    Row k, s_k theta = a_k / L with a_k = argnum_k L / D_k, joins through
-    h = gcd(g, s_k) = u g + w s_k: the two hold together iff h theta = z / L
-    with z = u y + w a_k, (g/h) z = y and (s_k/h) z = a_k (mod L).  So the
-    first row that fails either check is the violated equation.  For g > 0
-    the solution set fixes y mod L, so the branches theta_j = (y/L + j) / g,
-    their order included, are the ones the Smith path gives.  Over the
-    branches' denominator L g the magnitude's numerators are integers: g is
-    an integer combination of the s_k, so g times the magnitude is one of
-    the exps_k / D_k.
+    Each right-hand side is read as a log tuple (D_k, primes_k, exps_k,
+    argnum_k), as in ``values``; only argnum_k mod D_k matters, and exps_k
+    may be any sequence.  L is the one lcm of the D_k.  After row k the
+    pass holds the solutions of rows 0..k.  The magnitude of mu is
+    exps_f / (D_f s_f), set by the first row f with s_f != 0; a later row k
+    holds it iff it has the same primes and s_k D_k exps_f = s_f D_f exps_k,
+    and a row with s_k = 0 iff it has no primes.  The argument theta
+    satisfies g theta = y / L (mod 1).  Row k, s_k theta = a_k / L with
+    a_k = argnum_k L / D_k, joins through h = gcd(g, s_k) = u g + w s_k: the
+    two hold together iff h theta = z / L with z = u y + w a_k,
+    (g/h) z = y and (s_k/h) z = a_k (mod L).
+
+    Returns the index of the first row that fails either check, or
+    ``(g, y, L, first)`` with 0 <= y < L and ``first`` = (s_f D_f, primes_f,
+    exps_f), None when every s_k is 0.  For g > 0 there are g branches
+    theta_j = (y/L + j) / g, and over their denominator L g the magnitude's
+    numerators are integers: g is an integer combination of the s_k, so g
+    times the magnitude is one of the exps_k / D_k.
     """
-    logs = [v._log for v in values]
     L = math.lcm(*[log[0] for log in logs])
     first, g, y = None, 0, 0
     for k, (sk, (d, primes, exps, a)) in enumerate(zip(s, logs)):
@@ -160,16 +166,35 @@ def _solve_column(s: list[int], values: Sequence[ExactNonzeroComplex]) -> PowerS
             q0, primes0, exps0 = first
             c = sk * d
             if primes != primes0 or [c * e for e in exps0] != [q0 * e for e in exps]:
-                return PowerSystemSolution(False, k, 0, 0, ())
+                return k
         elif primes:
-            return PowerSystemSolution(False, k, 0, 0, ())
+            return k
         a *= L // d
         h, u, w = _xgcd(g, sk)
         z = (u * y + w * a) % L
         q = h or 1  # h = 0 only when g = s_k = 0, and then y = z = 0
         if (g // q * z - y) % L or (sk // q * z - a) % L:
-            return PowerSystemSolution(False, k, 0, 0, ())
+            return k
         g, y = h, z
+    return g, y, L, first
+
+
+def _first_root(g: int, y: int, L: int, first) -> ExactNonzeroComplex:
+    """Branch 0 of a pass's solution with g > 0: mu with exponents
+    exps_f / (D_f s_f) and argument y / (L g), reduced by one gcd."""
+    den = L * g
+    q0, primes0, exps0 = first
+    return _reduced(den, primes0, tuple([e * den // q0 for e in exps0]), y)
+
+
+def _solve_column(s: list[int], values: Sequence[ExactNonzeroComplex]) -> PowerSystemSolution:
+    """``_column_pass`` on the values' log tuples, as a solution.  For g > 0
+    the solution set fixes y mod L, so the branches theta_j = (y/L + j) / g,
+    their order included, are the ones the Smith path gives."""
+    out = _column_pass(s, [v._log for v in values])
+    if type(out) is int:
+        return PowerSystemSolution(False, out, 0, 0, ())
+    g, y, L, first = out
     if not g:
         return PowerSystemSolution(True, None, 1, 1, TorsionBranches((_unknown(1, (), (), 0, ()),), ()))
     den = L * g

@@ -213,6 +213,10 @@ class GluingDirection:
     product: ExactNonzeroComplex  # a_i(x-) * a_i(x+)
     level_range: tuple[int, int]
 
+    def __post_init__(self):
+        if self.level_range[0] > self.level_range[1]:
+            raise ValueError(f"{self.direction}: level range {self.level_range} is reversed")
+
 
 @dataclass(frozen=True)
 class GluingNode:

@@ -6,7 +6,10 @@ points.  A contact record stores, per normal direction: the multiplicity,
 the divisor-side sign, the level, and the leading coefficient (flagged
 formal on directions where a trivial component is frozen at zero or
 infinity).  Validators implement the structural, naive, broken-cylinder and
-enhanced matching conditions, plus relative stability.
+enhanced matching conditions, plus relative stability.  Enhanced matching
+and the weighted-projective test ``wproj_equal`` run the one-unknown
+power-system pass ``exactnum.powersys._column_pass`` on integer log tuples,
+once per node or pair of classes, and build no power-system solution.
 
 A ``MapType`` computes each fact about itself once, on first use:
 
@@ -41,12 +44,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, Union
 
-from .exactnum import (
-    ExactNonzeroComplex,
-    coeff_from_json,
-    coeff_to_json,
-    solve_power_system,
-)
+from .exactnum import ExactNonzeroComplex, coeff_from_json, coeff_to_json
+from .exactnum.lattice import _int_entry
+from .exactnum.powersys import _column_pass, _first_root
 from .jsonfields import _json_bool, _json_int, _json_list, _json_object, _json_str
 
 if TYPE_CHECKING:
@@ -624,16 +624,18 @@ class EnhancedResult:
 def check_enhanced(mt: MapType) -> EnhancedResult:
     """Decide existence of per-node constants with a(y-)a(y+)c^s = 1.
 
-    Solved one node at a time through the multiplicative power system; the
-    witness takes the first torsion branch at each node.
+    Each node is one integer pass (``powersys._column_pass``) over the log
+    tuples of 1/(a(y-)a(y+)), one row per shared decorated direction, so no
+    power-system solution is built.  The witness is the pass's first branch
+    at each node and the branch count its g, the gcd of the multiplicities.
     """
     witness: list[tuple[str, ExactNonzeroComplex]] = []
     branches: list[tuple[str, int]] = []
     for n in mt.nodes:
         a, b = n.ends
         ra, rb = mt.record(a), mt.record(b)
-        rows: list[list[int]] = []
-        rhs: list[ExactNonzeroComplex] = []
+        s: list[int] = []
+        logs: list[tuple] = []
         dirs: list[str] = []
         for d, sa in ra.slots:
             sb = rb.slot(d)
@@ -643,24 +645,22 @@ def check_enhanced(mt: MapType) -> EnhancedResult:
                 raise ValueError(f"{n.id}: undecorated coefficient in {d}")
             if sa.s is None:
                 raise ValueError(f"{n.id}: undefined multiplicity in {d}")
-            rows.append([sa.s])
-            rhs.append((sa.coeff * sb.coeff).inverse())
+            D, primes, exps, arg = (sa.coeff * sb.coeff)._log
+            s.append(sa.s)
+            logs.append((D, primes, [-e for e in exps], -arg))
             dirs.append(d)
-        if not rows:
+        if not s:
             continue
-        sol = solve_power_system(rows, rhs)
-        if not sol.consistent:
-            d = dirs[sol.violated_equation]
+        out = _column_pass(s, logs)
+        if type(out) is int:
             return EnhancedResult(
                 False,
                 (),
                 (),
-                failure=f"{n.id}: no gluing constant matches direction {d}",
+                failure=f"{n.id}: no gluing constant matches direction {dirs[out]}",
             )
-        # by iteration, not indexing: perfbench's tracer wraps the branches
-        # in an object that can only be iterated
-        witness.append((n.id, next(iter(sol.solutions))[0]))
-        branches.append((n.id, sol.branch_count))
+        witness.append((n.id, _first_root(*out)))
+        branches.append((n.id, out[0]))
     return EnhancedResult(True, tuple(witness), tuple(branches))
 
 
@@ -709,9 +709,8 @@ def wproj_equal(
     """
     if not (len(a) == len(b) == len(weights)):
         raise ValueError("lengths must agree")
-    rows = [[w] for w in weights]
-    rhs = [bi / ai for ai, bi in zip(a, b)]
-    return solve_power_system(rows, rhs).consistent
+    s = [_int_entry(w) for w in weights]
+    return type(_column_pass(s, [(bi / ai)._log for ai, bi in zip(a, b)])) is not int
 
 
 def antidiagonal_paired(

@@ -20,7 +20,8 @@ from ncd_moduli.building import (
     _orbit,
     _orbit_signed,
 )
-from ncd_moduli.exactnum import ExactNonzeroComplex, smith_normal_form, solve_linear
+from ncd_moduli.exactnum import ExactNonzeroComplex, smith_normal_form, solve_linear, solve_power_system
+from ncd_moduli.maptype import EnhancedResult
 
 
 # -- Fourier-Motzkin feasibility of {A v = 0, v >= 1} -------------------------
@@ -445,6 +446,38 @@ def enhanced_node_oracle(s_list, products, L):
         if all((s * theta + prod.arg) % 1 == 0 for s, prod in zip(s_list, products)):
             count += 1
     return count
+
+
+def reference_check_enhanced(mt) -> EnhancedResult:
+    """Enhanced matching through the general solver: one ``solve_power_system``
+    per node on the rows [s] and right-hand sides 1/(a(y-) a(y+)), the witness
+    read off the first torsion branch.  ``maptype.check_enhanced`` runs an
+    integer pass instead and must give the same result."""
+    witness, branches = [], []
+    for n in mt.nodes:
+        a, b = n.ends
+        ra, rb = mt.record(a), mt.record(b)
+        rows, rhs, dirs = [], [], []
+        for d, sa in ra.slots:
+            sb = rb.slot(d)
+            if sb is None or sa.eps == 0 or sb.eps == 0:
+                continue
+            if sa.coeff is None or sb.coeff is None:
+                raise ValueError(f"{n.id}: undecorated coefficient in {d}")
+            if sa.s is None:
+                raise ValueError(f"{n.id}: undefined multiplicity in {d}")
+            rows.append([sa.s])
+            rhs.append((sa.coeff * sb.coeff).inverse())
+            dirs.append(d)
+        if not rows:
+            continue
+        sol = solve_power_system(rows, rhs)
+        if not sol.consistent:
+            d = dirs[sol.violated_equation]
+            return EnhancedResult(False, (), (), failure=f"{n.id}: no gluing constant matches direction {d}")
+        witness.append((n.id, sol.solutions[0][0]))
+        branches.append((n.id, sol.branch_count))
+    return EnhancedResult(True, tuple(witness), tuple(branches))
 
 
 # -- level buildings ------------------------------------------------------------

@@ -205,11 +205,16 @@ class TestColumnSystems:
         from ncd_moduli.exactnum import powersys
 
         smith = _counting(monkeypatch, powersys, "smith_normal_form")
-        systems = _counting(monkeypatch, maptype, "solve_power_system")
+        systems = _counting(monkeypatch, powersys, "solve_power_system")
+        built = _counting(monkeypatch, powersys.TorsionBranches, "__init__")
+        passes = _counting(monkeypatch, maptype, "_column_pass")
         mt = build()
         res = check_enhanced(mt)
         assert res.satisfiable, res.failure
-        assert len(systems) == len(res.branch_counts) > 0
+        # one integer pass per node, and no solution or branches built
+        assert len(passes) == len(res.branch_counts) > 0
+        assert systems == [] and built == []
+        assert not hasattr(maptype, "solve_power_system")
         assert smith == []
         gp = gluing_problem_from_maptype(mt)
         gp = dataclasses.replace(gp, lambdas=tuple((l, _c(1)) for l in range(1, 4)))
@@ -302,14 +307,19 @@ class TestAnalysedOnce:
         assert mt.validation is mt.validation
 
     def test_level_path_solves_no_power_system(self, monkeypatch):
-        solved = _counting(monkeypatch, maptype, "solve_power_system")
+        from ncd_moduli.exactnum import powersys
+
+        solved = [
+            _counting(monkeypatch, module, name)
+            for module, name in ((powersys, "solve_power_system"), (powersys, "_column_pass"), (maptype, "_column_pass"))
+        ]
         mt = neck2()
         sys = build_system(mt)
         assert feasible_positive(sys) is not None
         assert torus_dim(sys) == 1 and len(beta_relations(sys)) == 1
         assert stratum_codim(mt) == 2
         assert len(asymptotic_classes(mt)) == 1
-        assert solved == []
+        assert solved == [[], [], []]
 
     def test_classes_key_each_level_once_per_direction(self, monkeypatch):
         mt = neck1b()
@@ -761,6 +771,20 @@ class TestSolveGluing:
         )
         sol = solve_gluing(gp)
         assert sol.nodes[0].solutions == (_c(5),)
+
+    def test_reversed_level_range_refused(self):
+        # built in code, as the loader refuses it from a file: a reversed
+        # range is not solved as crossing no level
+        with pytest.raises(ValueError, match=r"d1: level range \(3, 1\) is reversed"):
+            GluingDirection("d1", 4, _c(1), (3, 1))
+        with pytest.raises(ValueError, match="is reversed"):
+            solve_gluing(GluingProblem(
+                nodes=(GluingNode("x", (GluingDirection("d1", 4, _c(1), (3, 1)),)),),
+                lambdas=(),
+            ))
+        d = GluingDirection("d1", 4, _c(1), (2, 2))
+        with pytest.raises(ValueError, match="is reversed"):
+            dataclasses.replace(d, level_range=(3, 1))
 
     def test_round_trip(self):
         gp = GluingProblem(

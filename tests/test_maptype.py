@@ -1,11 +1,15 @@
 import dataclasses
+import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncd_moduli import divisor
-from ncd_moduli.exactnum import ExactNonzeroComplex
+from ncd_moduli.exactnum import ExactNonzeroComplex, solve_power_system
 from ncd_moduli.fixtures import CATALOG, divisor_for, neck1a, neck1b, neck2, neck3, smooth_level_one
 from ncd_moduli.maptype import (
     Component,
@@ -29,6 +33,8 @@ from ncd_moduli.maptype import (
     wproj_equal,
     antidiagonal_paired,
 )
+from oracle_helpers import enhanced_node_oracle, random_value, reference_check_enhanced
+from test_levelsys import disjoint_copies
 
 FIXTURES = [smooth_level_one, neck1a, neck1b, neck2, neck3]
 
@@ -408,6 +414,100 @@ class TestEnhanced:
             check_enhanced(self._node(near, far))
 
 
+def _data_maptype(name):
+    return loads((Path(__file__).parent / "data" / name).read_text(encoding="utf-8"))
+
+
+class TestEnhancedWitness:
+    """Every witness constant c solves a(y-) a(y+) c^s = 1 in each decorated
+    direction of its node."""
+
+    @pytest.mark.parametrize(
+        "build",
+        FIXTURES
+        + [
+            lambda name=name: _data_maptype(name)
+            for name in ("enhanced-only.json", "neck2-nonreciprocal.json", "neck2-two-level.json", "no-nodes.json")
+        ]
+        + [lambda: disjoint_copies(neck2(), 8)],
+        ids=[b.__name__ for b in FIXTURES]
+        + ["enhanced-only", "neck2-nonreciprocal", "neck2-two-level", "no-nodes", "neck2x8"],
+    )
+    def test_witness_solves_each_direction(self, build):
+        mt = build()
+        res = check_enhanced(mt)
+        nodes = {n.id: n for n in mt.nodes}
+        assert res.satisfiable == (res.failure is None)
+        assert [nid for nid, _ in res.witness] == [nid for nid, _ in res.branch_counts]
+        checked = 0
+        for nid, c in res.witness:
+            a, b = nodes[nid].ends
+            ra, rb = mt.record(a), mt.record(b)
+            for d, sa in ra.slots:
+                sb = rb.slot(d)
+                if sb is None or sa.eps == 0 or sb.eps == 0:
+                    continue
+                assert (sa.coeff * sb.coeff * c.pow(sa.s)).is_one()
+                checked += 1
+        assert checked or not res.witness
+
+
+@st.composite
+def _enhanced_nodes(draw):
+    """One node z with 1-4 decorated directions of multiplicity 1-12; the far
+    end's coefficient either matches through a shared constant or, for some
+    directions, is drawn on its own to break matching."""
+    rng = draw(st.randoms(use_true_random=False))
+    s = draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))
+    broken = draw(st.lists(st.booleans(), min_size=len(s), max_size=len(s)))
+    c = random_value(rng)
+    near, far, products = [], [], []
+    for i, (si, br) in enumerate(zip(s, broken)):
+        a = random_value(rng)
+        b = random_value(rng) if br else a.inverse() * c.pow(-si)
+        near.append((f"d{i}", ContactSlot(si, 1, 0, a)))
+        far.append((f"d{i}", ContactSlot(si, -1, 1, b)))
+        products.append(a * b)
+    main = Component("main", points=(("main@z", ContactRecord("p", tuple(near))),))
+    cap = Component("cap", points=(("cap@z", ContactRecord("p", tuple(far))),))
+    return MapType("uniform", 1, (), (), (main, cap), (Node("z", ("main@z", "cap@z")),)), s, products
+
+
+class TestEnhancedReference:
+    """The integer pass per node against the general solver it replaced."""
+
+    @given(_enhanced_nodes())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_solver_route(self, node):
+        mt, s, products = node
+        res, ref = check_enhanced(mt), reference_check_enhanced(mt)
+        assert (res.satisfiable, res.failure, res.branch_counts) == (ref.satisfiable, ref.failure, ref.branch_counts)
+        assert len(res.witness) == len(ref.witness)
+        for (nid, c), (rid, r) in zip(res.witness, ref.witness):
+            assert nid == rid and c == r and hash(c) == hash(r) and str(c) == str(r)
+            assert all((p * c.pow(si)).is_one() for si, p in zip(s, products))
+        # every solution's argument has a denominator dividing each s_i times
+        # its product's argument denominator, so their gcd bounds the grid
+        L = math.gcd(*[si * p.arg.denominator for si, p in zip(s, products)])
+        count = enhanced_node_oracle(s, products, L)
+        assert dict(res.branch_counts).get("z", 0) == count
+        assert res.satisfiable == (count > 0)
+
+    @given(
+        st.randoms(use_true_random=False),
+        st.lists(st.tuples(st.integers(0, 12), st.booleans()), min_size=1, max_size=4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_wproj_equal_matches_solver(self, rng, rows):
+        t = random_value(rng)
+        weights = [w for w, _ in rows]
+        a = [random_value(rng) for _ in rows]
+        b = [random_value(rng) if br else x * t.pow(w) for x, (w, br) in zip(a, rows)]
+        expected = solve_power_system([[w] for w in weights], [bi / ai for ai, bi in zip(a, b)]).consistent
+        assert wproj_equal(a, b, weights) == expected
+        assert antidiagonal_paired([x.inverse() for x in a], b, weights) == expected
+
+
 class TestStability:
     def test_neck3_stable(self):
         assert check_relative_stability(neck3())
@@ -448,8 +548,6 @@ class TestEvaluation:
         import random
 
         rng = random.Random(5)
-        from oracle_helpers import random_value
-
         for _ in range(50):
             w = [rng.randint(1, 4) for _ in range(2)]
             a = [random_value(rng) for _ in range(2)]
