@@ -23,10 +23,19 @@ gives; ``solve_gluing`` reads those.  ``maptype``'s enhanced matching and
 weighted-projective test call the pass itself, and enhanced matching builds
 its witness, the first branch, with ``_first_root``, so neither builds a
 solution object.
+
+A branch's unknowns all share their magnitudes with branch 0; only the
+argument numerators move, each by a fixed step per digit.  So
+``TorsionBranches`` iterates the last, fastest digit as an arithmetic
+progression modulo each unknown's denominator, one lazy column per unknown,
+and builds each value with one gcd against the precomputed gcd of that
+unknown's denominator and exponents.  A prefix of the slower digits costs
+one dot product per unknown; a branch costs no digit tuple.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -46,17 +55,31 @@ def _unknown(D: int, primes, exps, offset: int, steps) -> tuple:
     return (D, tuple(primes), tuple(exps), math.gcd(D, *exps), offset % D, tuple([x % D for x in steps]))
 
 
+def _root(D: int, primes: tuple, exps: tuple, g: int, a: int) -> ExactNonzeroComplex:
+    """The value with log (D, primes, exps, a), for g = gcd(D, *exps) and
+    0 <= a < D: one gcd with the argument numerator is left to reduce it.
+    Every torsion branch is built here, one unknown at a time."""
+    h = math.gcd(g, a)
+    if h == 1:
+        return _from_log((D, primes, exps, a))
+    return _from_log((D // h, primes, tuple([e // h for e in exps]), a // h))
+
+
 class TorsionBranches(Sequence):
     """The torsion branches of a consistent power system, built on demand.
 
     Branch number b has the mixed-radix digits j_0 .. j_{r-1} of b over the
     nonzero elementary divisors d_0 .. d_{r-1}, the last digit running
     fastest (the order of ``itertools.product``).  Unknown i is held as
-    integer log data over its own denominator D_i: its prime exponents,
-    which no branch changes, and the argument numerator
+    integer log data over its own denominator D_i: its prime exponents and
+    their gcd with D_i, which no branch changes, and the argument numerator
     ``(offsets_i + sum_k j_k * steps_i[k]) mod D_i``.  So the solve works in
-    integers, and a branch is built with one gcd reduction per unknown when
-    it is read.
+    integers, and a branch is built with one gcd per unknown when it is read.
+
+    Iteration runs the last digit as an arithmetic progression: for each
+    prefix j_0 .. j_{r-2} every unknown's numerator is computed once, then
+    advanced by its last-digit step modulo D_i, one lazy column per unknown,
+    and the columns are zipped into branches.
     """
 
     __slots__ = ("_data", "_len")
@@ -78,23 +101,30 @@ class TorsionBranches(Sequence):
         for d in reversed(self._data[1]):
             b, j = divmod(b, d)
             digits.append(j)
-        return self._branch(digits[::-1])
+        digits.reverse()
+        return tuple([
+            _root(D, primes, exps, g, (offset + sum(map(operator.mul, digits, steps))) % D)
+            for D, primes, exps, g, offset, steps in self._data[0]
+        ])
 
     def __iter__(self):
-        return map(self._branch, itertools.product(*map(range, self._data[1])))
+        unknowns, divisors = self._data
+        if not unknowns:
+            # no unknown means no elementary divisor: one branch, the empty vector
+            return iter(((),))
+        *slow, last = divisors or (1,)
+        roots = [functools.partial(_root, D, primes, exps, g) for D, primes, exps, g, _, _ in unknowns]
 
-    def _branch(self, digits) -> tuple[ExactNonzeroComplex, ...]:
-        # inline rather than values._reduced: with gcd(D, *exps) kept per
-        # unknown, one gcd with the argument numerator is left per branch
-        out = []
-        for D, primes, exps, g, offset, steps in self._data[0]:
-            a = (offset + sum(map(operator.mul, digits, steps))) % D
-            h = math.gcd(g, a)
-            if h == 1:
-                out.append(_from_log((D, primes, exps, a)))
-            else:
-                out.append(_from_log((D // h, primes, tuple([e // h for e in exps]), a // h)))
-        return tuple(out)
+        def run(prefix):
+            columns = []
+            for root, (D, _, _, _, offset, steps) in zip(roots, unknowns):
+                # a step of 0 mod D is taken as D, so the range never has step 0
+                step = steps[-1] if steps and steps[-1] else D
+                a = (offset + sum(map(operator.mul, prefix, steps))) % D
+                columns.append(map(root, map(D.__rmod__, range(a, a + last * step, step))))
+            return zip(*columns)
+
+        return itertools.chain.from_iterable(map(run, itertools.product(*map(range, slow))))
 
     def __eq__(self, other) -> bool:
         """Equal to branches or a tuple holding the same branches in order.

@@ -210,40 +210,10 @@ class ExactNonzeroComplex:
     def __mul__(self, other: "ExactNonzeroComplex") -> "ExactNonzeroComplex":
         if not isinstance(other, ExactNonzeroComplex):
             return NotImplemented
-        d1, p1, e1, a1 = self._log
-        d2, p2, e2, a2 = other._log
-        D = d1
-        if d1 != d2:
-            D = lcm(d1, d2)
-            if D != d1:
-                f = D // d1
-                e1, a1 = [e * f for e in e1], a1 * f
-            if D != d2:
-                f = D // d2
-                e2, a2 = [e * f for e in e2], a2 * f
-        if not p2:
-            primes, exps = p1, tuple(e1)
-        elif not p1:
-            primes, exps = p2, tuple(e2)
-        elif p1 == p2:
-            primes, exps = p1, tuple(map(add, e1, e2))
-            if 0 in exps:
-                primes = tuple([p for p, e in zip(p1, exps) if e])
-                exps = tuple([e for e in exps if e])
-        else:
-            acc = dict(zip(p1, e1))
-            for p, e in zip(p2, e2):
-                e += acc.get(p, 0)
-                if e:
-                    acc[p] = e
-                else:
-                    del acc[p]
-            primes = tuple(sorted(acc))
-            exps = tuple([acc[p] for p in primes])
+        D, primes, exps, a = _log_sum(self._log, other._log)
         if D == 1:
             return _from_log((1, primes, exps, 0))
-        a = a1 + a2
-        return _reduced(D, primes, exps, a - D if a >= D else a)
+        return _reduced(D, primes, exps, a)
 
     def inverse(self) -> "ExactNonzeroComplex":
         D, primes, exps, a = self._log
@@ -303,6 +273,44 @@ def _from_log(log: _Log) -> ExactNonzeroComplex:
     value = _new(ExactNonzeroComplex)
     _set_log(value, log)
     return value
+
+
+def _log_sum(x: _Log, y: _Log) -> _Log:
+    """The log of the product of the values with logs x and y, over the lcm
+    of their denominators and not reduced: sorted primes with nonzero exps,
+    0 <= argnum < D."""
+    d1, p1, e1, a1 = x
+    d2, p2, e2, a2 = y
+    D = d1
+    if d1 != d2:
+        D = lcm(d1, d2)
+        if D != d1:
+            f = D // d1
+            e1, a1 = [e * f for e in e1], a1 * f
+        if D != d2:
+            f = D // d2
+            e2, a2 = [e * f for e in e2], a2 * f
+    if not p2:
+        primes, exps = p1, tuple(e1)
+    elif not p1:
+        primes, exps = p2, tuple(e2)
+    elif p1 == p2:
+        primes, exps = p1, tuple(map(add, e1, e2))
+        if 0 in exps:
+            primes = tuple([p for p, e in zip(p1, exps) if e])
+            exps = tuple([e for e in exps if e])
+    else:
+        acc = dict(zip(p1, e1))
+        for p, e in zip(p2, e2):
+            e += acc.get(p, 0)
+            if e:
+                acc[p] = e
+            else:
+                del acc[p]
+        primes = tuple(sorted(acc))
+        exps = tuple([acc[p] for p in primes])
+    a = a1 + a2
+    return D, primes, exps, a - D if a >= D else a
 
 
 def _reduced(D: int, primes: tuple[int, ...], exps: tuple[int, ...], a: int) -> ExactNonzeroComplex:

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import itemgetter
 from typing import Mapping, Optional
 
 from .exactnum import (
@@ -261,6 +262,11 @@ def solve_gluing(gp: GluingProblem) -> GluingSolution:
     at levels lo+1..hi, so those are the parameters multiplied; a
     smooth-divisor node of multiplicity s has exactly s solutions.  A level
     crossed that has no parameter raises ``KeyError`` naming it.
+
+    Each node is a one-unknown power system.  Its parameters are read by
+    iterating the solution's lazy branches once: the argument numerator
+    advances by a fixed step from one parameter to the next, and each value
+    is reduced with one gcd, so no digit tuple is built per parameter.
     """
     table = dict(gp.lambdas)
     out = []
@@ -293,7 +299,7 @@ def solve_gluing(gp: GluingProblem) -> GluingSolution:
             GluingNodeSolution(
                 node.id,
                 sol.branch_count,
-                tuple(s[0] for s in sol.solutions),
+                tuple(map(itemgetter(0), sol.solutions)),
             )
         )
     return GluingSolution(tuple(out))

@@ -47,6 +47,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, Union
 from .exactnum import ExactNonzeroComplex, coeff_from_json, coeff_to_json
 from .exactnum.lattice import _int_entry
 from .exactnum.powersys import _column_pass, _first_root
+from .exactnum.values import _log_sum
 from .jsonfields import _json_bool, _json_int, _json_list, _json_object, _json_str
 
 if TYPE_CHECKING:
@@ -626,8 +627,12 @@ def check_enhanced(mt: MapType) -> EnhancedResult:
 
     Each node is one integer pass (``powersys._column_pass``) over the log
     tuples of 1/(a(y-)a(y+)), one row per shared decorated direction, so no
-    power-system solution is built.  The witness is the pass's first branch
-    at each node and the branch count its g, the gcd of the multiplicities.
+    power-system solution is built.  A row's tuple is the sum of the two
+    coefficients' logs over the lcm of their denominators, negated, so the
+    product a(y-)a(y+) is not built either; the pass cross-multiplies, so
+    the denominator need not be the least.  The witness is the pass's first
+    branch at each node, in normal form, and the branch count its g, the gcd
+    of the multiplicities.
     """
     witness: list[tuple[str, ExactNonzeroComplex]] = []
     branches: list[tuple[str, int]] = []
@@ -645,7 +650,7 @@ def check_enhanced(mt: MapType) -> EnhancedResult:
                 raise ValueError(f"{n.id}: undecorated coefficient in {d}")
             if sa.s is None:
                 raise ValueError(f"{n.id}: undefined multiplicity in {d}")
-            D, primes, exps, arg = (sa.coeff * sb.coeff)._log
+            D, primes, exps, arg = _log_sum(sa.coeff._log, sb.coeff._log)
             s.append(sa.s)
             logs.append((D, primes, [-e for e in exps], -arg))
             dirs.append(d)

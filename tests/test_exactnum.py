@@ -1,6 +1,8 @@
 import contextlib
 import copy
+import itertools
 import json
+import math
 import pickle
 import random
 import re
@@ -1005,27 +1007,90 @@ class TestPowerSystems:
         assert verify_solution(M, values, sol.solutions[0])
 
     def test_equality_builds_only_the_branches_it_compares(self, monkeypatch):
+        # each branch of a one-unknown system is one call of _root, which
+        # records the branch's argument numerator; branch j of mu^6 = 1 has j
         built = []
-        real = powersys.TorsionBranches._branch
-
-        def spy(self, digits):
-            built.append(tuple(digits))
-            assert len(built) <= 7, "built more branches than the comparisons read"
-            return real(self, digits)
-
-        monkeypatch.setattr(powersys.TorsionBranches, "_branch", spy)
+        real = powersys._root
         six = solve_power_system([[6]], [ONE]).solutions
+        first, *rest = [six[j] for j in range(6)]
+
+        def spy(D, primes, exps, g, a):
+            built.append(a)
+            assert len(built) <= 7, "built more branches than the comparisons read"
+            return real(D, primes, exps, g, a)
+
+        monkeypatch.setattr(powersys, "_root", spy)
         assert six != () and six != ((ONE,),) * 5
         assert built == []
         # 10**20 branches: building them all, or calling len(), never ends
         huge = solve_power_system([[10**20]], [ONE]).solutions
         assert huge != () and six != huge and huge != six
         assert built == []
-        first, *rest = [real(six, [j]) for j in range(6)]
         assert six != tuple([rest[0]] + rest)
-        assert built == [(0,)]
+        assert built == [0]
         assert six == tuple([first] + rest)
         assert len(built) == 7
+
+    @staticmethod
+    def _count_roots(monkeypatch):
+        """Count the calls of _root, the one place a branch's value is built."""
+        built = []
+        real = powersys._root
+
+        def spy(*args):
+            built.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(powersys, "_root", spy)
+        return built
+
+    def test_first_of_huge_builds_one_branch(self, monkeypatch):
+        built = self._count_roots(monkeypatch)
+        huge = solve_power_system([[10**20]], [ONE]).solutions
+        assert next(iter(huge)) == (ONE,)
+        assert built == [0]
+
+    @pytest.mark.parametrize("k", [0, 1, 5, 128, 129, 300])
+    def test_slice_of_iteration_builds_what_it_reads(self, monkeypatch, k):
+        # a signed permutation of diag(8, 128): 1024 branches of two unknowns,
+        # 8 prefixes of the slow digit, each a run of 128 on the fast one
+        M = [[0, -128], [8, 0]]
+        values = [ExactNonzeroComplex.from_parts({2: 3}, Fraction(1, 3)),
+                  ExactNonzeroComplex.from_parts({3: 1}, Fraction(1, 5))]
+        sol = solve_power_system(M, values)
+        assert sol.solutions._data[1] == (8, 128)
+        built = self._count_roots(monkeypatch)
+        head = list(itertools.islice(sol.solutions, k))
+        assert len(head) == k and len(built) == 2 * k
+        assert head == [sol.solutions[b] for b in range(k)]
+        assert all(verify_solution(M, values, mu) for mu in head[:3] + head[-3:])
+
+    @pytest.mark.parametrize(
+        "M, values, divisors",
+        [
+            # V = identity: unknown 0 does not move with the last digit
+            ([[2, 0], [0, 6]], [ExactNonzeroComplex.from_parts({2: 1}, Fraction(1, 3)),
+                                ExactNonzeroComplex.from_parts({3: 1}, Fraction(1, 4))], (2, 6)),
+            # unimodular: every elementary divisor, the last included, is 1
+            ([[1, 2], [3, 5]], [ExactNonzeroComplex.from_parts({2: 1}, Fraction(1, 3)), ONE], (1, 1)),
+            ([[1]], [ExactNonzeroComplex.from_parts({5: 2}, Fraction(2, 3))], (1,)),
+            # no nonzero elementary divisor: one branch, on the Smith path and the column pass
+            ([[0, 0]], [ONE], ()),
+            ([[0]], [ONE], ()),
+            ([], [], ()),
+        ],
+        ids=["zero-last-step", "unimodular", "column-1", "zero-row", "zero-column", "empty"],
+    )
+    def test_iteration_matches_indexing(self, M, values, divisors):
+        tb = solve_power_system(M, values).solutions
+        assert tb._data[1] == divisors
+        if divisors == (2, 6):
+            last_steps = [steps[-1] % D for D, _, _, _, _, steps in tb._data[0]]
+            assert last_steps[0] == 0 and last_steps[1] != 0
+        listed = list(tb)
+        assert listed == [tb[b] for b in range(len(tb))]
+        assert len(set(listed)) == len(tb) == math.prod(divisors)
+        assert all(verify_solution(M, values, mu) for mu in listed)
 
     def test_diagonal_300_first_branch_fast(self):
         M = [[300, 0], [0, 300]]
