@@ -135,7 +135,18 @@ def _cmd_strata(args) -> int:
     return 0
 
 
+def _multi_levels(text: str) -> list[int]:
+    levels = []
+    for x in text.split(","):
+        try:
+            levels.append(int(x))
+        except ValueError:
+            raise InputError(f"--multi: entry {x!r} is not an integer") from None
+    return levels
+
+
 def _cmd_building(args) -> int:
+    levels = None if args.multi is None else _multi_levels(args.multi)
     d = _load_divisor(args.file)
     from . import building as bd
     from . import divisor as dv
@@ -144,8 +155,7 @@ def _cmd_building(args) -> int:
     if problems:
         raise InputError("invalid divisor: " + "; ".join(problems))
     try:
-        if args.multi:
-            levels = [int(x) for x in args.multi.split(",")]
+        if levels is not None:
             b = bd.build_multi(d, levels)
         else:
             b = bd.build(d, args.m)
@@ -267,7 +277,6 @@ def _cmd_levels(args) -> int:
 def _cmd_glue(args) -> int:
     obj = _parse_json(_read_text(args.file), "gluing file")
     from . import levelsys as ls
-    from .exactnum import coeff_to_json
 
     try:
         gp = ls.gluing_from_dict(obj)
@@ -277,29 +286,35 @@ def _cmd_glue(args) -> int:
         sol = ls.solve_gluing(gp)
     except KeyError as e:
         raise InputError(str(e)) from e
-    result = {
-        "consistent": sol.consistent,
-        "total_count": sol.total_count,
-        "nodes": [
-            {
-                "id": n.node,
-                "count": n.count,
-                "solutions": [coeff_to_json(mu) for mu in n.solutions],
-                "failure": n.failure,
-            }
-            for n in sol.nodes
-        ],
-    }
-    lines = []
-    for n in sol.nodes:
-        if n.failure:
-            lines.append(f"{n.node}: inconsistent ({n.failure})")
-        else:
-            lines.append(f"{n.node}: {n.count} solution(s)")
-            for mu in n.solutions:
-                lines.append(f"  {mu}")
-    lines.append(f"total branches: {sol.total_count}")
-    _emit(args, "glue", result, lines)
+    # a node of multiplicity s has s branches: build only the form that is printed
+    if args.json:
+        from .exactnum import coeff_to_json
+
+        result = {
+            "consistent": sol.consistent,
+            "total_count": sol.total_count,
+            "nodes": [
+                {
+                    "id": n.node,
+                    "count": n.count,
+                    "solutions": [coeff_to_json(mu) for mu in n.solutions],
+                    "failure": n.failure,
+                }
+                for n in sol.nodes
+            ],
+        }
+        _emit(args, "glue", result)
+    else:
+        lines = []
+        for n in sol.nodes:
+            if n.failure:
+                lines.append(f"{n.node}: inconsistent ({n.failure})")
+            else:
+                lines.append(f"{n.node}: {n.count} solution(s)")
+                for mu in n.solutions:
+                    lines.append(f"  {mu}")
+        lines.append(f"total branches: {sol.total_count}")
+        _emit(args, "glue", human_lines=lines)
     return 0 if sol.consistent else 1
 
 

@@ -6,29 +6,43 @@ multiplicatively independent unless they cancel by construction; directions
 frozen at zero or infinity carry formal decorations chosen reciprocal along
 each trivial component, which makes every gluing-constant system solvable
 with constant one.
+
+Only ``divisor`` is imported with this module.  The map-type builders and
+``FixtureEntry.text`` import ``maptype`` and ``exactnum.values`` when they
+are called, so ``example`` on a divisor fixture, or on a name not in the
+catalog, loads no map-type or exact-arithmetic code: in a fresh interpreter,
+loading those modules costs more than printing the fixture.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Union
+from typing import TYPE_CHECKING, Callable, Union
 
 from . import divisor as dv
-from . import maptype as mp
-from .exactnum import ExactNonzeroComplex
-from .maptype import Component, ContactRecord, ContactSlot, MapType, Node
+
+if TYPE_CHECKING:
+    from .exactnum import ExactNonzeroComplex
+    from .maptype import ContactRecord, ContactSlot, MapType
 
 
 def _c(q) -> ExactNonzeroComplex:
+    from fractions import Fraction
+
+    from .exactnum.values import ExactNonzeroComplex
+
     return ExactNonzeroComplex.from_rational(Fraction(q))
 
 
 def _slot(s, eps, level, coeff=None, formal=False) -> ContactSlot:
+    from .maptype import ContactSlot
+
     return ContactSlot(s=s, eps=eps, level=level, coeff=coeff, formal=formal)
 
 
 def _rec(stratum, **slots) -> ContactRecord:
+    from .maptype import ContactRecord
+
     return ContactRecord(stratum=stratum, slots=tuple(slots.items()))
 
 
@@ -42,6 +56,8 @@ def neck3_divisor() -> dv.CombinatorialDivisor:
 
 def smooth_level_one() -> MapType:
     """A triple-contact node over a smooth divisor, one rescaling."""
+    from .maptype import Component, MapType, Node
+
     a = _c(2)
     main = Component(
         "main",
@@ -74,6 +90,8 @@ def neck1a() -> MapType:
     One nontrivial rescaled component; the other contact point stretches into
     a two-step trivial chain through the neck and the zero divisor.
     """
+    from .maptype import Component, MapType, Node
+
     a11, a21, a12, a22 = _c(2), _c(3), _c(5), _c(7)
     main = Component(
         "main",
@@ -130,6 +148,8 @@ def neck1b() -> MapType:
     """Level-2 limit over the self-crossing divisor as the marked point
     collides with the (1,2)-contact point; the nontrivial component sits on
     local level (1,2), forcing the two rescaling rates to satisfy b2 = 2*b1."""
+    from .maptype import Component, MapType, Node
+
     a11, a21, a12, a22 = _c(2), _c(3), _c(5), _c(7)
     main = Component(
         "main",
@@ -205,6 +225,8 @@ def neck1b() -> MapType:
 def neck2() -> MapType:
     """The same collision over the two-component divisor, rescaled
     independently in the two directions: a level-(1,1) multibuilding limit."""
+    from .maptype import Component, MapType, Node
+
     a11, a21, a12, a22 = _c(2), _c(3), _c(5), _c(7)
     main = Component(
         "main",
@@ -262,6 +284,8 @@ def neck3() -> MapType:
     """A whole conic sinking into the crossing point of two lines: one
     antidiagonal component in the deep piece, chained through the two
     intermediate zero sections to double contact points on each line."""
+    from .maptype import Component, MapType, Node
+
     one = _c(1)
     n = Component(
         "curve",
@@ -317,6 +341,8 @@ class FixtureEntry:
         obj = self.build()
         if self.kind == "divisor":
             return dv.dumps(obj)
+        from . import maptype as mp
+
         return mp.dumps(obj)
 
 

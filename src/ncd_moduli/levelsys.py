@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from operator import itemgetter
-from typing import Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from .exactnum import (
     ExactNonzeroComplex,
@@ -41,7 +41,9 @@ from .exactnum import (
 )
 from .exactnum.linalg import SparseRow, _rref, _strict_positive
 from .jsonfields import _json_int, _json_int_key, _json_list, _json_object, _json_str
-from .maptype import BetaKey, LevelEquation, MapType
+
+if TYPE_CHECKING:  # annotations only, so that `glue` loads no map-type code
+    from .maptype import BetaKey, LevelEquation, MapType
 
 
 class LevelSystemError(ValueError):

@@ -27,7 +27,6 @@ from ncd_moduli.levelsys import (
     GluingDirection,
     GluingNode,
     GluingProblem,
-    LevelEquation,
     LevelSystem,
     beta_relations,
     build_system,
@@ -35,7 +34,7 @@ from ncd_moduli.levelsys import (
     solve_gluing,
     torus_dim,
 )
-from ncd_moduli.maptype import Component, ContactRecord, ContactSlot, MapType, Node
+from ncd_moduli.maptype import Component, ContactRecord, ContactSlot, LevelEquation, MapType, Node
 from oracle_helpers import (
     arg_grid_solutions,
     enhanced_node_oracle,

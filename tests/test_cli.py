@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,8 @@ from ncd_moduli import levelsys as ls
 from ncd_moduli import maptype as mp
 from ncd_moduli.cli import run
 from ncd_moduli.fixtures import CATALOG
+
+DATA = Path(__file__).parent / "data"
 
 
 def invoke(capsys, *argv):
@@ -79,6 +82,13 @@ class TestBuilding:
         )
         assert code == 2
         assert "scaling direction" in err
+
+    # an empty --multi is an empty entry, not "no --multi"
+    @pytest.mark.parametrize("multi,entry", [("", "''"), ("1,,2", "''"), ("a,b", "'a'")])
+    def test_multi_malformed_entry_exit_2(self, capsys, fixture_file, multi, entry):
+        code, out, err = invoke(capsys, "building", fixture_file("ex4dim"), "--multi", multi)
+        assert (code, out) == (2, "")
+        assert err == f"error: --multi: entry {entry} is not an integer\n"
 
 
 class TestNonStringIds:
@@ -804,6 +814,25 @@ class TestGlue:
         assert (code, out) == (2, "")
         assert "no gluing parameter for level 2" in err
 
+    @pytest.mark.parametrize("json_mode,calls", [(False, 0), (True, 6)])
+    def test_builds_only_the_printed_form(self, capsys, monkeypatch, json_mode, calls):
+        from ncd_moduli import exactnum
+
+        seen = []
+        to_json = exactnum.coeff_to_json
+
+        def spy(value):
+            seen.append(value)
+            return to_json(value)
+
+        monkeypatch.setattr(exactnum, "coeff_to_json", spy)
+        argv = ["--json"] * json_mode + ["glue", str(DATA / "glue-mult6.json")]
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0
+        assert len(seen) == calls
+        if not json_mode:
+            assert len(out.splitlines()) == 8
+
 
 class TestExample:
     def test_unknown_fixture(self, capsys):
@@ -895,8 +924,8 @@ class TestImports:
     test had already imported."""
 
     # (argv, exit code, modules that must not be loaded); @name is the fixture
-    # file of that name, @missing a file that does not exist and @broken the
-    # start of neck2's text
+    # file of that name, @missing a file that does not exist, @broken the
+    # start of neck2's text and @glue-mult6 the gluing file in tests/data
     CASES = {
         "strata": (["strata", "@ex4dim"], 0, {"maptype", "levelsys", "fixtures", "exactnum"}),
         "building": (["building", "@ex4dim", "--m", "2"], 0, {"maptype", "levelsys", "fixtures", "exactnum"}),
@@ -910,12 +939,20 @@ class TestImports:
         ),
         "missing-file": (["levels", "@missing"], 2, {"levelsys", "maptype"}),
         "broken-json": (["validate", "@broken"], 2, {"levelsys", "maptype"}),
+        "example-divisor": (["example", "ex0-n2"], 0, {"maptype", "exactnum", "levelsys", "building"}),
+        "example-unknown": (["example", "nofixture-1"], 2, {"maptype", "exactnum"}),
+        "example-maptype": (["example", "neck2"], 0, {"levelsys", "building"}),
+        "glue": (["glue", "@glue-mult6"], 0, {"maptype", "building", "fixtures"}),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_loaded_modules(self, tmp_path, fixture_file, case):
         argv, want_code, absent = self.CASES[case]
-        files = {"missing": str(tmp_path / "missing.json"), "broken": str(tmp_path / "broken.json")}
+        files = {
+            "missing": str(tmp_path / "missing.json"),
+            "broken": str(tmp_path / "broken.json"),
+            "glue-mult6": str(DATA / "glue-mult6.json"),
+        }
         (tmp_path / "broken.json").write_text(CATALOG["neck2"].text()[:100], encoding="utf-8")
         argv = [(files.get(a[1:]) or fixture_file(a[1:])) if a.startswith("@") else a for a in argv]
         proc = subprocess.run([sys.executable, "-c", _IMPORTS_SCRIPT, *argv], capture_output=True, text=True)

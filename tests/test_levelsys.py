@@ -18,7 +18,6 @@ from ncd_moduli.levelsys import (
     GluingNode,
     GluingProblem,
     LevelSystem,
-    LevelEquation,
     asymptotic_classes,
     beta_relations,
     build_system,
@@ -31,6 +30,7 @@ from ncd_moduli.levelsys import (
 )
 from ncd_moduli.maptype import (
     Component,
+    LevelEquation,
     MapType,
     Node,
     check_broken_cylinders,

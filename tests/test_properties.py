@@ -12,11 +12,11 @@ from ncd_moduli.levelsys import (
     GluingDirection,
     GluingNode,
     GluingProblem,
-    LevelEquation,
     LevelSystem,
     feasible_positive,
     solve_gluing,
 )
+from ncd_moduli.maptype import LevelEquation
 from oracle_helpers import random_value
 
 
