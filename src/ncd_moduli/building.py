@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .divisor import CombinatorialDivisor, local_model
+from .jsonfields import _json_int
 
 
 @dataclass(frozen=True)
@@ -206,7 +207,7 @@ def _builder(
 
 def build(d: CombinatorialDivisor, m: int) -> LevelBuilding:
     """The level-m building: all pieces, divisor branches, and attachments."""
-    if m < 0:
+    if _json_int(m, "level count m") < 0:
         raise ValueError("level count must be nonnegative")
     return _builder(d, "uniform", {c.id: m for c in d.components})
 
@@ -215,13 +216,14 @@ def build_multi(d: CombinatorialDivisor, levels) -> LevelBuilding:
     """Multi-building with an independent level count per scaling direction.
 
     The scaling directions are the connected components of the divisor's
-    normalization; a level vector of any other length is rejected.
+    normalization; a level vector of any other length is rejected.  Each
+    level count is an int that is not a bool.
     """
     comp_ids = d.component_ids()
     if hasattr(levels, "items"):
-        table = {str(k): int(v) for k, v in levels.items()}
+        table = {str(k): _json_int(v, f"level count of {k}") for k, v in levels.items()}
     else:
-        vals = [int(v) for v in levels]
+        vals = [_json_int(v, f"level count {i}") for i, v in enumerate(levels)]
         if len(vals) != len(comp_ids):
             raise ValueError(
                 f"divisor has {len(comp_ids)} independent scaling direction(s) "
@@ -266,7 +268,7 @@ def collapse(b: LevelBuilding, levels: Iterable[int]) -> CollapseResult:
     """
     if b.mode != "uniform":
         raise ValueError("collapse is defined for uniform buildings")
-    J = set(int(j) for j in levels)
+    J = {_json_int(j, "collapsed level") for j in levels}
     if not J <= set(range(1, b.m + 1)):
         raise ValueError(f"collapsed levels must lie in 1..{b.m}")
     small = build(b.divisor, b.m - len(J))

@@ -4,76 +4,64 @@ Subcommands cover the whole pipeline: divisor stratification, building
 enumeration, map-type validation, dimension calculus, level systems, and
 gluing problems.  ``--json`` switches to a machine envelope
 {"version": "ncd-moduli/1", "command": ..., "result": ...}, which one writer
-(``_emit``) puts around each subcommand's result; file arguments accept
-``-`` for standard input.  Exit codes: 0 success, 1 validation
-failure, 2 malformed input.
+(``_emit``) puts around each subcommand's result.  Exit codes: 0 success,
+1 validation failure, 2 malformed input.
 
-Each subcommand imports the library modules it runs when it runs, after
-its input file is read and parsed, so a call pays only for its own modules.
+Every input file goes through one reader (``_load``): it reads the path, or
+standard input for ``-``, parses the JSON object and only then imports the
+loader of that kind of file, so a call loads only its own modules.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
-from typing import TYPE_CHECKING, Optional
-
-if TYPE_CHECKING:
-    from .divisor import CombinatorialDivisor
-    from .maptype import MapType
 
 FORMAT_VERSION = "ncd-moduli/1"
+
+# each input file kind: the module and the function that load its JSON object
+_LOADERS = {
+    "divisor": ("divisor", "divisor_from_dict"),
+    "map-type": ("maptype", "maptype_from_dict"),
+    "gluing": ("levelsys", "gluing_from_dict"),
+}
 
 
 class InputError(Exception):
     pass
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+def _load(kind: str, path: str):
+    """The ``kind`` file at ``path`` (``-`` is standard input), loaded; a file
+    that cannot be read, is not UTF-8 JSON with an object at the top level or
+    that the loader refuses raises ``InputError``."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        if path == "-":
+            obj = json.load(sys.stdin)
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                obj = json.load(fh)
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from e
-
-
-def _parse_json(text: str, what: str) -> dict:
-    try:
-        obj = json.loads(text)
-    except ValueError as e:  # JSONDecodeError, or an integer past Python's digit limit
-        raise InputError(f"malformed {what}: {e}") from e
+    except (ValueError, RecursionError) as e:  # not UTF-8 JSON, nested too deep, or an integer too long
+        raise InputError(f"malformed {kind} file: {e}") from e
     if not isinstance(obj, dict):
-        raise InputError(f"malformed {what}: top level must be a JSON object, not {type(obj).__name__}")
-    return obj
-
-
-def _load_divisor(path: str) -> CombinatorialDivisor:
-    obj = _parse_json(_read_text(path), "divisor file")
-    from . import divisor as dv
-
+        raise InputError(f"malformed {kind} file: top level must be a JSON object, not {type(obj).__name__}")
+    module, name = _LOADERS[kind]
+    load = getattr(importlib.import_module(f".{module}", __package__), name)
     try:
-        return dv.divisor_from_dict(obj)
+        return load(obj)
     except (KeyError, TypeError, ValueError) as e:
-        raise InputError(f"malformed divisor file: {e}") from e
+        raise InputError(f"malformed {kind} file: {e}") from e
 
 
-def _load_maptype(path: str) -> MapType:
-    obj = _parse_json(_read_text(path), "map-type file")
-    from . import maptype as mp
-
-    try:
-        return mp.maptype_from_dict(obj)
-    except (KeyError, TypeError, ValueError) as e:
-        raise InputError(f"malformed map-type file: {e}") from e
-
-
-def _emit(args, command: str, result=None, human_lines=(), *, text: Optional[str] = None) -> None:
-    """Print human_lines, or with ``--json`` the envelope around ``text``, the
-    result's JSON text, written from ``result`` unless the caller holds it.  The
-    text is indented one step further: a JSON string token holds no raw newline."""
+def _emit(args, result=None, human_lines=(), *, text: str | None = None) -> None:
+    """Print human_lines, or with ``--json`` the envelope of ``args.command``
+    around ``text``, the result's JSON text, written from ``result`` unless the
+    caller holds it.  The text is indented one step further: a JSON string
+    token holds no raw newline."""
     if not args.json:
         for line in human_lines:
             print(line)
@@ -81,14 +69,14 @@ def _emit(args, command: str, result=None, human_lines=(), *, text: Optional[str
     if text is None:
         text = json.dumps(result, indent=2, sort_keys=True)
     text = text.replace("\n", "\n  ")
-    print(f'{{\n  "command": "{command}",\n  "result": {text},\n  "version": "{FORMAT_VERSION}"\n}}')
+    print(f'{{\n  "command": "{args.command}",\n  "result": {text},\n  "version": "{FORMAT_VERSION}"\n}}')
 
 
 # -- subcommands -----------------------------------------------------------------
 
 
 def _cmd_validate(args) -> int:
-    mt = _load_maptype(args.file)
+    mt = _load("map-type", args.file)
     from dataclasses import asdict
 
     v = mt.validation
@@ -101,17 +89,17 @@ def _cmd_validate(args) -> int:
         lines.append(f"enhanced matching: {'satisfiable' if v.enhanced else v.enhanced_failure}")
     if v.relatively_stable is not None:
         lines.append(f"relatively stable: {v.relatively_stable}")
-    _emit(args, "validate", result, lines)
+    _emit(args, result, lines)
     return 0 if v.valid else 1
 
 
 def _cmd_strata(args) -> int:
-    d = _load_divisor(args.file)
+    d = _load("divisor", args.file)
     from . import divisor as dv
 
     problems = dv.validate(d)
     if problems:
-        _emit(args, "strata", {"valid": False, "violations": problems},
+        _emit(args, {"valid": False, "violations": problems},
               ["invalid divisor:"] + [f"  - {v}" for v in problems])
         return 1
     depths = [args.k] if args.k is not None else sorted({s.depth for s in d.strata if s.depth >= 1})
@@ -131,7 +119,7 @@ def _cmd_strata(args) -> int:
             f"depth {k}: resolution {c.resolution_of_vk}, cover {c.double_resolution}, "
             f"next divisor {c.resolution_of_wk1}"
         )
-    _emit(args, "strata", {"valid": True, "counts": table}, lines)
+    _emit(args, {"valid": True, "counts": table}, lines)
     return 0
 
 
@@ -147,7 +135,7 @@ def _multi_levels(text: str) -> list[int]:
 
 def _cmd_building(args) -> int:
     levels = None if args.multi is None else _multi_levels(args.multi)
-    d = _load_divisor(args.file)
+    d = _load("divisor", args.file)
     from . import building as bd
     from . import divisor as dv
 
@@ -155,14 +143,11 @@ def _cmd_building(args) -> int:
     if problems:
         raise InputError("invalid divisor: " + "; ".join(problems))
     try:
-        if levels is not None:
-            b = bd.build_multi(d, levels)
-        else:
-            b = bd.build(d, args.m)
+        b = bd.build(d, args.m) if levels is None else bd.build_multi(d, levels)
     except ValueError as e:
         raise InputError(str(e)) from e
     if args.json:
-        _emit(args, "building", text=bd.dumps(b)[:-1])
+        _emit(args, text=bd.dumps(b)[:-1])
         return 0
     classes = b.piece_classes()
     lines = [
@@ -176,50 +161,43 @@ def _cmd_building(args) -> int:
             f"over {', '.join(c.strata)}"
         )
     lines.append(f"divisor strata: {len(b.divisor_strata)}, attaching pairs: {len(b.attaching)}")
-    _emit(args, "building", None, lines)
+    _emit(args, human_lines=lines)
     return 0
 
 
 def _cmd_dim(args) -> int:
-    from . import dimension as dm
-
     if args.file:
-        mt = _load_maptype(args.file)
-        from . import levelsys as ls
-
+        given = [f"--{k}" for k in ("c1A", "chi", "ell", "AV") if getattr(args, k) is not None]
+        if given:
+            raise InputError(f"the map-type file supplies {', '.join(given)}; give only --dimX with it")
+        mt = _load("map-type", args.file)
         if args.dimX is None:
             raise InputError("--dimX is required with a map-type file")
-        try:
-            inp = dm.DimensionInput(mt.c1a, args.dimX, mt.chi, mt.ell, mt.av)
-        except ValueError as e:
-            raise InputError(str(e)) from e
-        try:
-            codim = dm.stratum_codim(mt)
-        except ls.LevelSystemError as e:
-            raise InputError(str(e)) from e
-        node_depths = [mt.record(f.start_point).depth for f in mt.fibers if f.kind == "node"]
-        gap = dm.naive_gap(node_depths)
-        result = {
-            "expected_dim": dm.expected_dim(inp),
-            "naive_gap": gap,
-            "stratum_codim": codim,
-        }
-        lines = [
-            f"expected dimension: {result['expected_dim']}",
-            f"naive matching gap: {gap}",
-            f"stratum codimension: {codim}",
-        ]
+        numbers = (mt.c1a, args.dimX, mt.chi, mt.ell, mt.av)
     else:
         missing = [k for k in ("c1A", "dimX", "chi", "ell", "AV") if getattr(args, k) is None]
         if missing:
             raise InputError(f"missing {', '.join('--' + k for k in missing)} (or give a map-type file)")
+        numbers = (args.c1A, args.dimX, args.chi, args.ell, args.AV)
+    from . import dimension as dm
+
+    try:
+        inp = dm.DimensionInput(*numbers)
+    except ValueError as e:
+        raise InputError(str(e)) from e
+    result = {"expected_dim": dm.expected_dim(inp)}
+    lines = [f"expected dimension: {result['expected_dim']}"]
+    if args.file:
+        from . import levelsys as ls
+
         try:
-            inp = dm.DimensionInput(args.c1A, args.dimX, args.chi, args.ell, args.AV)
-        except ValueError as e:
+            codim = dm.stratum_codim(mt)
+        except ls.LevelSystemError as e:
             raise InputError(str(e)) from e
-        result = {"expected_dim": dm.expected_dim(inp)}
-        lines = [f"expected dimension: {result['expected_dim']}"]
-    _emit(args, "dim", result, lines)
+        gap = dm.naive_gap([mt.record(f.start_point).depth for f in mt.fibers if f.kind == "node"])
+        result.update(naive_gap=gap, stratum_codim=codim)
+        lines += [f"naive matching gap: {gap}", f"stratum codimension: {codim}"]
+    _emit(args, result, lines)
     return 0
 
 
@@ -228,7 +206,7 @@ def _beta_label(key) -> str:
 
 
 def _cmd_levels(args) -> int:
-    mt = _load_maptype(args.file)
+    mt = _load("map-type", args.file)
     from . import levelsys as ls
 
     try:
@@ -270,18 +248,14 @@ def _cmd_levels(args) -> int:
             f"{c}*{_beta_label(b)}" for c, b in zip(rel, sys_.betas) if c
         )
         lines.append(f"relation: {terms} = 0")
-    _emit(args, "levels", result, lines)
+    _emit(args, result, lines)
     return 0 if witness is not None else 1
 
 
 def _cmd_glue(args) -> int:
-    obj = _parse_json(_read_text(args.file), "gluing file")
+    gp = _load("gluing", args.file)
     from . import levelsys as ls
 
-    try:
-        gp = ls.gluing_from_dict(obj)
-    except (KeyError, TypeError, ValueError) as e:
-        raise InputError(f"malformed gluing file: {e}") from e
     try:
         sol = ls.solve_gluing(gp)
     except KeyError as e:
@@ -303,7 +277,7 @@ def _cmd_glue(args) -> int:
                 for n in sol.nodes
             ],
         }
-        _emit(args, "glue", result)
+        _emit(args, result)
     else:
         lines = []
         for n in sol.nodes:
@@ -314,7 +288,7 @@ def _cmd_glue(args) -> int:
                 for mu in n.solutions:
                     lines.append(f"  {mu}")
         lines.append(f"total branches: {sol.total_count}")
-        _emit(args, "glue", human_lines=lines)
+        _emit(args, human_lines=lines)
     return 0 if sol.consistent else 1
 
 
@@ -335,7 +309,7 @@ def _cmd_example(args) -> int:
             raise InputError(f"cannot write {args.emit}: {e}") from e
         print(f"wrote {entry.kind} fixture {args.name} to {args.emit}", file=sys.stderr)
     elif args.json:
-        _emit(args, "example", text=text[:-1])
+        _emit(args, text=text[:-1])
     else:
         sys.stdout.write(text)
     return 0

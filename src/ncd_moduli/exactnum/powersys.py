@@ -80,6 +80,11 @@ class TorsionBranches(Sequence):
     prefix j_0 .. j_{r-2} every unknown's numerator is computed once, then
     advanced by its last-digit step modulo D_i, one lazy column per unknown,
     and the columns are zipped into branches.
+
+    The branches are unhashable, as a list is: they compare equal to the
+    tuple of the same branches, and a hash equal to that tuple's would have
+    to build every branch.  So a consistent ``PowerSystemSolution`` is
+    unhashable too.
     """
 
     __slots__ = ("_data", "_len")
@@ -139,9 +144,6 @@ class TorsionBranches(Sequence):
         else:
             return NotImplemented
         return self._len == n and all(map(operator.eq, self, other))
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
 
     def __repr__(self) -> str:
         return f"TorsionBranches(<{self._len} branches>)"

@@ -218,6 +218,27 @@ class TestCollapse:
             collapse(build(ex4dim(), 2), [3])
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: build(local_model(2), 1.5), "level count m = 1.5 is not an integer"),
+        (lambda: build(local_model(2), True), "level count m = True is not an integer"),
+        (lambda: build_multi(local_model(2), [1.9, 1]), "level count 0 = 1.9 is not an integer"),
+        (lambda: build_multi(local_model(2), {"h1": 2.5, "h2": 1}), "level count of h1 = 2.5 is not an integer"),
+        (lambda: build_multi(local_model(2), {"h1": 2, "h2": True}), "level count of h2 = True is not an integer"),
+        (lambda: collapse(build(local_model(2), 2), [1.5]), "collapsed level = 1.5 is not an integer"),
+        (lambda: collapse(build(local_model(2), 2), [False]), "collapsed level = False is not an integer"),
+    ],
+    ids=["build-float", "build-bool", "multi-list", "multi-mapping-float", "multi-mapping-bool",
+         "collapse-float", "collapse-bool"],
+)
+def test_level_counts_are_exact_integers(call, message):
+    """A level count or collapsed level is an int that is not a bool, as in the loaders."""
+    with pytest.raises(ValueError) as error:
+        call()
+    assert str(error.value) == message
+
+
 class TestRescaledDisk:
     def test_m0(self):
         disk = rescaled_disk(0)

@@ -51,12 +51,16 @@ class TestStrata:
             "resolution_of_Wk1": 12,
         }
 
-    def test_malformed_input_exit_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "data", [b"{not json", b"\xff\xfe{}", b"[" * 100_000], ids=["not-json", "not-utf-8", "deep-nesting"]
+    )
+    def test_malformed_input_exit_2(self, capsys, tmp_path, data):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json", encoding="utf-8")
-        code, _, err = invoke(capsys, "strata", str(bad))
+        bad.write_bytes(data)
+        code, out, err = invoke(capsys, "strata", str(bad))
         assert code == 2
-        assert "malformed" in err
+        assert out == ""
+        assert err.startswith("error: malformed divisor file: ") and "Traceback" not in err
 
 
 class TestBuilding:
@@ -240,6 +244,17 @@ class TestDim:
         result = json.loads(out)["result"]
         assert result["stratum_codim"] == 2
         assert result["naive_gap"] == -2
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--c1A", "99", "--chi", "7"], "--c1A, --chi"), (["--ell", "0"], "--ell"), (["--AV", "1"], "--AV")],
+        ids=["c1A-chi", "ell", "AV"],
+    )
+    def test_file_refuses_pairing_flags(self, capsys, fixture_file, flags, named):
+        code, out, err = invoke(capsys, "dim", fixture_file("neck2"), "--dimX", "4", *flags)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: the map-type file supplies {named}; give only --dimX with it\n"
 
     def test_missing_flags(self, capsys):
         code, _, err = invoke(capsys, "dim", "--c1A", "3")
@@ -661,7 +676,9 @@ class TestLevelPastBuilding:
 
 class TestTopLevel:
     @pytest.mark.parametrize(
-        "argv", [["validate"], ["levels"], ["dim", "--dimX", "4"], ["glue"]], ids=lambda a: a[0]
+        "argv",
+        [["validate"], ["levels"], ["dim", "--dimX", "4"], ["glue"], ["strata"], ["building"]],
+        ids=lambda a: a[0],
     )
     @pytest.mark.parametrize("text", ["[]", "3", "null"])
     def test_non_object_exit_2(self, capsys, tmp_path, argv, text):
@@ -681,11 +698,13 @@ class TestHugeInteger:
         [
             ("strata", "ex0-n4", ("dimX",), "divisor"),
             ("validate", "neck2", ("building", "m"), "map-type"),
+            ("glue", "glue-mult6", ("nodes", 0, "directions", 0, "s"), "gluing"),
         ],
-        ids=["strata-dimX", "validate-building-m"],
+        ids=["strata-dimX", "validate-building-m", "glue-s"],
     )
     def test_exit_2(self, capsys, tmp_path, command, name, path, what):
-        obj = json.loads(CATALOG[name].text())
+        text = CATALOG[name].text() if name in CATALOG else (DATA / f"{name}.json").read_text(encoding="utf-8")
+        obj = json.loads(text)
         *parents, field = path
         holder = obj
         for key in parents:
@@ -939,6 +958,8 @@ class TestImports:
         ),
         "missing-file": (["levels", "@missing"], 2, {"levelsys", "maptype"}),
         "broken-json": (["validate", "@broken"], 2, {"levelsys", "maptype"}),
+        "strata-broken-json": (["strata", "@broken"], 2, {"divisor", "building"}),
+        "glue-missing-file": (["glue", "@missing"], 2, {"levelsys", "exactnum"}),
         "example-divisor": (["example", "ex0-n2"], 0, {"maptype", "exactnum", "levelsys", "building"}),
         "example-unknown": (["example", "nofixture-1"], 2, {"maptype", "exactnum"}),
         "example-maptype": (["example", "neck2"], 0, {"levelsys", "building"}),

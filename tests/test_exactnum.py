@@ -1044,6 +1044,15 @@ class TestPowerSystems:
         monkeypatch.setattr(powersys, "_root", spy)
         return built
 
+    @pytest.mark.parametrize("s", [2, 10**20])
+    def test_branches_and_solution_unhashable(self, monkeypatch, s):
+        built = self._count_roots(monkeypatch)
+        sol = solve_power_system([[s]], [ONE])
+        for value in (sol.solutions, sol):
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(value)
+        assert built == []
+
     def test_first_of_huge_builds_one_branch(self, monkeypatch):
         built = self._count_roots(monkeypatch)
         huge = solve_power_system([[10**20]], [ONE]).solutions
