@@ -7,6 +7,12 @@ monodromy orbits of those labels, counted per normalization component of the
 base.  Divisor strata of the building are labeled per stratum by a level
 tuple, a slot, and a sign; the attaching map pairs a zero-side label at level
 l with the infinity-side label at level l+1 in the same direction.
+
+Cost: the builder visits each (local label, slot) of a stratum once and runs
+one orbit search per +1 label, over the stratum's non-identity monodromy
+generators only (each prepared once per stratum as a tuple getter); under
+trivial monodromy no search runs and every orbit is its one member.  Labels
+are made without the dataclass ``__init__``.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import itertools
 from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .divisor import CombinatorialDivisor, local_model
@@ -51,7 +58,7 @@ class PieceClass:
     connected_pieces: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DivisorStratumLabel:
     """A branch of the total divisor: one signed direction on a local label."""
 
@@ -61,39 +68,55 @@ class DivisorStratumLabel:
     sign: int
 
 
-def _apply_perm(levels: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
-    out = list(levels)
-    for i, j in enumerate(perm):
-        out[j] = levels[i]
-    return tuple(out)
+_new = object.__new__
+_set_stratum = DivisorStratumLabel.stratum.__set__
+_set_levels = DivisorStratumLabel.levels.__set__
+_set_slot = DivisorStratumLabel.slot.__set__
+_set_sign = DivisorStratumLabel.sign.__set__
 
 
-def _orbit(levels: tuple[int, ...], gens: Sequence[tuple[int, ...]]) -> frozenset:
-    seen = {levels}
-    frontier = [levels]
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = _apply_perm(cur, g)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return frozenset(seen)
+def _label(stratum: str, levels: tuple[int, ...], slot: int, sign: int) -> DivisorStratumLabel:
+    """The label ``DivisorStratumLabel(stratum, levels, slot, sign)``, built
+    without the dataclass ``__init__``; the builder makes every label here."""
+    label = _new(DivisorStratumLabel)
+    _set_stratum(label, stratum)
+    _set_levels(label, levels)
+    _set_slot(label, slot)
+    _set_sign(label, sign)
+    return label
+
+
+def _movers(gens: Sequence[tuple[int, ...]]) -> list[tuple[itemgetter, tuple[int, ...]]]:
+    """Each non-identity generator g as ``(getter, g)``.
+
+    A generator sends the level at slot i to slot g[i], so the getter picks
+    position g^-1[j] for slot j.  Identity generators are dropped: they move
+    nothing, and one of depth 1 would make a one-index getter, which returns
+    a scalar.
+    """
+    out = []
+    for g in gens:
+        if g != tuple(range(len(g))):
+            out.append((itemgetter(*sorted(range(len(g)), key=g.__getitem__)), g))
+    return out
 
 
 def _orbit_signed(
-    item: tuple[tuple[int, ...], int], gens: Sequence[tuple[int, ...]]
-) -> frozenset:
+    item: tuple[tuple[int, ...], int], movers: Sequence[tuple[itemgetter, tuple[int, ...]]]
+) -> set:
+    """The orbit of (levels, slot) under the group the movers generate."""
+    if not movers:
+        return {item}
     seen = {item}
     frontier = [item]
     while frontier:
         levels, slot = frontier.pop()
-        for g in gens:
-            nxt = (_apply_perm(levels, g), g[slot])
+        for get, g in movers:
+            nxt = (get(levels), g[slot])
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    return frozenset(seen)
+    return seen
 
 
 @dataclass(frozen=True)
@@ -162,23 +185,30 @@ def _builder(
         # emitted at the orbit's first member.  The level parts of the orbit of
         # (lv, 0) are the orbit of lv, so an all-positive lv met first at slot 0
         # is the least member of a new piece, the loop being lexicographic.
+        # orbit_rep maps each member of an orbit of two or more to the orbit's
+        # least member; any other (levels, slot) is its own representative.
+        movers = _movers(s.monodromy)
         orbit_rep: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]] = {}
         minus: dict[tuple[tuple[int, ...], int], DivisorStratumLabel] = {}
         zero_side: list[DivisorStratumLabel] = []
         for lv in itertools.product(*[range(b + 1) for b in slot_bounds]):
             for slot in range(s.depth):
-                if (lv, slot) in orbit_rep:
+                key = (lv, slot)
+                if key in orbit_rep:
                     continue
-                orb = _orbit_signed((lv, slot), s.monodromy)
-                rep = min(orb)
-                orbit_rep.update(dict.fromkeys(orb, rep))
+                orb = _orbit_signed(key, movers)
+                if len(orb) > 1:
+                    rep = min(orb)
+                    orbit_rep.update(dict.fromkeys(orb, rep))
+                else:
+                    rep = key
                 if slot == 0 and 0 not in lv:
                     size = len({levels for levels, _ in orb})
                     pieces.append(PieceRecord(PieceLabel(s.id, lv), s.depth, size, s.normalization_components))
-                plus = DivisorStratumLabel(s.id, *rep, 1)
+                plus = _label(s.id, *rep, 1)
                 strata_labels.append(plus)
                 if lv[slot] >= 1:
-                    minus[rep] = DivisorStratumLabel(s.id, *rep, -1)
+                    minus[rep] = _label(s.id, *rep, -1)
                     strata_labels.append(minus[rep])
                 # at the top level the zero side is part of the building's divisor
                 if lv[slot] < slot_bounds[rep[1]]:
@@ -190,7 +220,8 @@ def _builder(
         for label in zero_side:
             up = list(label.levels)
             up[label.slot] += 1
-            targets.append(orbit_rep[(tuple(up), label.slot)])
+            key = (tuple(up), label.slot)
+            targets.append(orbit_rep.get(key, key))
         if len(set(targets)) != len(targets) or len(targets) != len(minus):
             raise AssertionError("attaching map is not a perfect matching on infinity strata")
         pairs += [(label, minus[rep]) for label, rep in zip(zero_side, targets)]
@@ -288,7 +319,7 @@ def collapse(b: LevelBuilding, levels: Iterable[int]) -> CollapseResult:
             continue
         s = b.divisor.stratum(rec.label.stratum)
         clamped = tuple(max(1, v) for v in shifted)
-        rep = min(_orbit(clamped, s.monodromy))
+        rep = min(levels for levels, _ in _orbit_signed((clamped, 0), _movers(s.monodromy)))
         mapping[rec.label] = PieceLabel(s.id, rep)
     return CollapseResult(small, mapping)
 

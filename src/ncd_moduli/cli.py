@@ -36,13 +36,15 @@ class InputError(Exception):
 def _load(kind: str, path: str):
     """The ``kind`` file at ``path`` (``-`` is standard input), loaded; a file
     that cannot be read, is not UTF-8 JSON with an object at the top level or
-    that the loader refuses raises ``InputError``."""
+    that the loader refuses raises ``InputError``.  Both sources are read as
+    bytes and decoded as strict UTF-8 here, whatever the locale."""
     try:
         if path == "-":
-            obj = json.load(sys.stdin)
+            data = sys.stdin.buffer.read()
         else:
-            with open(path, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
+            with open(path, "rb") as fh:
+                data = fh.read()
+        obj = json.loads(data.decode("utf-8"))
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from e
     except (ValueError, RecursionError) as e:  # not UTF-8 JSON, nested too deep, or an integer too long

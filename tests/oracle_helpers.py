@@ -17,8 +17,6 @@ from ncd_moduli.building import (
     LevelBuilding,
     PieceLabel,
     PieceRecord,
-    _orbit,
-    _orbit_signed,
 )
 from ncd_moduli.exactnum import ExactNonzeroComplex, smith_normal_form, solve_linear, solve_power_system
 from ncd_moduli.maptype import EnhancedResult
@@ -482,12 +480,49 @@ def reference_check_enhanced(mt) -> EnhancedResult:
 
 # -- level buildings ------------------------------------------------------------
 
+def _apply_perm(levels, perm):
+    """Levels moved by a monodromy generator: slot i goes to slot perm[i]."""
+    out = list(levels)
+    for i, j in enumerate(perm):
+        out[j] = levels[i]
+    return tuple(out)
+
+
+def _orbit(levels, gens) -> frozenset:
+    """The orbit of a level tuple, by breadth-first search over the generators."""
+    seen = {levels}
+    frontier = [levels]
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            nxt = _apply_perm(cur, g)
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return frozenset(seen)
+
+
+def _orbit_signed(item, gens) -> frozenset:
+    """The orbit of (levels, slot): the slot moves with its level."""
+    seen = {item}
+    frontier = [item]
+    while frontier:
+        levels, slot = frontier.pop()
+        for g in gens:
+            nxt = (_apply_perm(levels, g), g[slot])
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return frozenset(seen)
+
+
 def reference_build(d, mode: str, bounds) -> LevelBuilding:
     """The building as the first builder enumerated it.
 
     Every signed label is its own orbit computation, the attaching partner is
     a further orbit, and each stratum rescans the whole label list for its +1
-    labels.  Slow, but it shares no bookkeeping with ``building._builder``.
+    labels.  Slow, but it shares no bookkeeping and no orbit search with
+    ``building._builder``: its orbits are the plain searches above.
     """
     m = max(bounds.values(), default=0)
     pieces = [PieceRecord(PieceLabel(d.depth0().id, ()), 0, 1, 1)]

@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import itertools
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -147,6 +150,23 @@ class TestDivisorStrata:
     def test_minus_requires_positive_level(self):
         for sig in divisor_strata(PieceLabel("p", (0, 2))):
             assert sig[0] != -1
+
+
+class TestLabelIdentity:
+    def test_builder_label_is_a_slotted_frozen_dataclass(self):
+        built = build(swapped_self_crossing(), 2).divisor_strata[-1]
+        made = DivisorStratumLabel(built.stratum, built.levels, built.slot, built.sign)
+        assert built == made and hash(built) == hash(made)
+        assert dataclasses.replace(built) == made
+        assert dataclasses.replace(built, sign=-built.sign) == DivisorStratumLabel(
+            made.stratum, made.levels, made.slot, -made.sign
+        )
+        assert copy.deepcopy(built) == made
+        assert pickle.loads(pickle.dumps(built)) == made
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            built.sign = 0
+        with pytest.raises(TypeError):
+            vars(built)
 
 
 class TestDualPairs:
@@ -315,6 +335,7 @@ class TestReferenceBuilder:
     def test_build(self, d, m):
         want = reference_build(d, "uniform", {c: m for c in d.component_ids()})
         assert building_to_dict(build(d, m)) == building_to_dict(want)
+        assert set(build(d, m).divisor_strata) == set(want.divisor_strata)
 
     @given(divisors, st.data())
     @settings(max_examples=100, deadline=None)
@@ -323,6 +344,7 @@ class TestReferenceBuilder:
         levels = data.draw(st.lists(st.integers(0, 3), min_size=len(ids), max_size=len(ids)))
         want = reference_build(d, "multi", dict(zip(ids, levels)))
         assert building_to_dict(build_multi(d, levels)) == building_to_dict(want)
+        assert set(build_multi(d, levels).divisor_strata) == set(want.divisor_strata)
 
 
 def _renamed(d: CombinatorialDivisor, names) -> CombinatorialDivisor:

@@ -1,6 +1,8 @@
 import copy
 import gc
+import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -33,6 +35,13 @@ def fixture_file(tmp_path):
     return write
 
 
+_malformed_inputs = pytest.mark.parametrize(
+    "data",
+    [b"{not json", b"\xff\xfe{}", b"[" * 100_000, b'{\r\n "a": 1,\r\n "b": ]\r\n}'],
+    ids=["not-json", "not-utf-8", "deep-nesting", "crlf"],
+)
+
+
 class TestStrata:
     def test_local_model_counts(self, capsys, fixture_file):
         code, out, _ = invoke(capsys, "strata", fixture_file("ex0-n3"), "--k", "2")
@@ -51,9 +60,7 @@ class TestStrata:
             "resolution_of_Wk1": 12,
         }
 
-    @pytest.mark.parametrize(
-        "data", [b"{not json", b"\xff\xfe{}", b"[" * 100_000], ids=["not-json", "not-utf-8", "deep-nesting"]
-    )
+    @_malformed_inputs
     def test_malformed_input_exit_2(self, capsys, tmp_path, data):
         bad = tmp_path / "bad.json"
         bad.write_bytes(data)
@@ -61,6 +68,27 @@ class TestStrata:
         assert code == 2
         assert out == ""
         assert err.startswith("error: malformed divisor file: ") and "Traceback" not in err
+
+    @_malformed_inputs
+    def test_malformed_stdin_as_path(self, capsys, monkeypatch, tmp_path, data):
+        # standard input is decoded as UTF-8 like a path, not by its own text
+        # layer; a POSIX stdin splits lines at "\n" and keeps "\r"
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data)
+        by_path = invoke(capsys, "strata", str(bad))
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="latin-1", newline="\n")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert invoke(capsys, "strata", "-") == by_path
+
+    def test_utf8_stdin_under_latin1_locale(self, tmp_path):
+        path = tmp_path / "accented.json"
+        path.write_text(CATALOG["ex4dim"].text().replace("v1", "v\u00e9"), encoding="utf-8")
+        env = dict(os.environ, PYTHONIOENCODING="latin-1")
+        cli = [sys.executable, "-m", "ncd_moduli.cli", "--json", "building"]
+        by_path = subprocess.run([*cli, str(path), "--m", "1"], capture_output=True, env=env)
+        piped = subprocess.run([*cli, "-", "--m", "1"], input=path.read_bytes(), capture_output=True, env=env)
+        assert by_path.returncode == 0 and b"v\\u00e9" in by_path.stdout
+        assert (piped.returncode, piped.stdout, piped.stderr) == (0, by_path.stdout, b"")
 
 
 class TestBuilding:

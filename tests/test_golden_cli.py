@@ -16,7 +16,13 @@ component; then ``validate``, ``levels`` and ``dim`` on
 whose level system has no equations and the witness all ones; then the
 same three on ``data/enhanced-only.json``, human and ``--json``, ``neck2``
 with one leading coefficient changed so that only enhanced matching fails:
-``validate`` exits 1 while ``levels`` and ``dim`` exit 0.  An argument
+``validate`` exits 1 while ``levels`` and ``dim`` exit 0; then ``building``
+at more than one level, where orbit representatives and the attaching map
+have more to get wrong: ``ex4dim-b`` at m = 3, human and ``--json``,
+``--json`` on ``ex4dim`` with ``--multi 1,2`` and on ``ex0-n3`` at m = 2;
+then ``data/ex4dim-b-swapped.json`` at m = 3, human and ``--json``, the
+self-crossing surface whose double point swaps its two branches, the one
+input here with a monodromy generator that is not the identity.  An argument
 ``@name`` stands for a file holding the built-in fixture ``name``, or
 ``data/name.json`` when no fixture has that name.  The table was
 recorded once, from a build whose outputs had been checked, and nothing
